@@ -343,7 +343,7 @@ int main(int argc, char** argv) {
   net::NetServer::Options net_options;
   net_options.max_connections = connections + 16;
   net_options.conn_inflight_cap = std::max<std::size_t>(pipeline, 16);
-  net::NetServer server(manager, executor, net_options);
+  net::NetServer server({&manager, &executor}, net_options);
   std::string error;
   if (!server.start(&error)) {
     std::cerr << "server start failed: " << error << "\n";
@@ -397,22 +397,8 @@ int main(int argc, char** argv) {
   std::string metrics_payload;
   if (!metrics_path.empty()) {
     const auto server_snapshot = server.stats();
-    metrics_payload = service::render_metrics(manager, executor, [server_snapshot] {
-      service::FrontEndCounters counters;
-      counters.accepted = server_snapshot.accepted;
-      counters.closed = server_snapshot.closed;
-      counters.rejected_connects = server_snapshot.rejected_connects;
-      counters.requests = server_snapshot.requests;
-      counters.responses = server_snapshot.responses;
-      counters.invalid_lines = server_snapshot.invalid_lines;
-      counters.oversized_lines = server_snapshot.oversized_lines;
-      counters.directives = server_snapshot.directives;
-      counters.idle_closed = server_snapshot.idle_closed;
-      counters.slow_reader_closed = server_snapshot.slow_reader_closed;
-      counters.faulted = server_snapshot.faulted;
-      counters.open_connections = server_snapshot.open_connections;
-      return counters;
-    });
+    metrics_payload = service::render_metrics(manager, executor,
+                                              [server_snapshot] { return server_snapshot; });
   }
 
   const auto server_stats = server.stats();

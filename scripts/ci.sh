@@ -2,20 +2,24 @@
 # CI pipeline (ROADMAP.md):
 #   1. tier-1 gate — configure, build, run the fast unit/integration tests
 #      (everything not labeled tier2);
-#   2. tier-2 — fuzz / stress / service concurrency + chaos tests in the
+#   2. end-to-end smoke — `perfbench/run.py --smoke` builds the real
+#      `dslshell --listen` server and drives it over TCP with every verb,
+#      checking each body against an in-process oracle and the server's
+#      request/response counters against the client's;
+#   3. tier-2 — fuzz / stress / service concurrency + chaos tests in the
 #      same tree;
-#   3. sanitizer pass — tier-1 under ASan+UBSan in a second build dir
+#   4. sanitizer pass — tier-1 under ASan+UBSan in a second build dir
 #      (benches/examples off: the 10k-core bench is not meaningful
 #      instrumented), plus the failpoint chaos suite — injected faults
 #      exercise the rare unwind paths where leaks and UB hide;
-#   4. crash-recovery chaos — the kill-anywhere storage suite (fork a
+#   5. crash-recovery chaos — the kill-anywhere storage suite (fork a
 #      child, abort it at a random WAL/snapshot write boundary, reboot,
 #      demand byte-identical recovery) runs in the SAME ASan build, so a
 #      recovery path that reads freed or uninitialized memory fails here
 #      rather than corrupting a catalog in production;
-#   5. ThreadSanitizer — the concurrency stress AND chaos tests (tier2) in
+#   6. ThreadSanitizer — the concurrency stress AND chaos tests (tier2) in
 #      a TSan build, gating the exploration service's locking model;
-#   6. benchmark telemetry — the query-cache, candidate-filter, Fig. 12,
+#   7. benchmark telemetry — the query-cache, candidate-filter, Fig. 12,
 #      service throughput, network throughput, and storage cold-start
 #      benches emit machine-readable BENCH_*.json at the repo root for
 #      trend tracking, check_bench_counters.py gates their deterministic
@@ -31,15 +35,18 @@ cd "$(dirname "$0")/.."
 
 CTEST_TIMEOUT=300  # seconds per test — chaos suites finish in single digits
 
-echo "=== [1/6] tier-1: build + tests ==="
+echo "=== [1/7] tier-1: build + tests ==="
 cmake -B build -S .
 cmake --build build -j
 (cd build && ctest -LE tier2 --output-on-failure --timeout "$CTEST_TIMEOUT")
 
-echo "=== [2/6] tier-2: fuzz + stress + chaos service tests ==="
+echo "=== [2/7] end-to-end smoke: real TCP server, every verb, oracle-checked ==="
+python3 perfbench/run.py --smoke
+
+echo "=== [3/7] tier-2: fuzz + stress + chaos service tests ==="
 (cd build && ctest -L tier2 --output-on-failure --timeout "$CTEST_TIMEOUT")
 
-echo "=== [3/6] sanitizers: ASan+UBSan build + tier-1 + chaos ==="
+echo "=== [4/7] sanitizers: ASan+UBSan build + tier-1 + chaos ==="
 SAN_FLAGS="-fsanitize=address,undefined -fno-sanitize-recover=all -fno-omit-frame-pointer"
 cmake -B build-asan -S . \
   -DCMAKE_BUILD_TYPE=Debug \
@@ -56,13 +63,13 @@ cmake --build build-asan -j
 DSLAYER_SIMD=scalar ./build-asan/tests/dsl_columnar_oracle_test
 DSLAYER_SIMD=widest ./build-asan/tests/dsl_columnar_oracle_test
 
-echo "=== [4/6] crash-recovery chaos: kill-anywhere storage suite under ASan ==="
+echo "=== [5/7] crash-recovery chaos: kill-anywhere storage suite under ASan ==="
 # 500+ randomized fork/abort/reboot iterations across every WAL and
 # snapshot write/fsync/rename failpoint site, plus the durability fuzz
 # oracles (export/import/WAL-replay/snapshot agreement, tail damage).
 (cd build-asan && ctest -R 'StorageChaos|StorageFuzz' --output-on-failure --timeout "$CTEST_TIMEOUT")
 
-echo "=== [5/6] ThreadSanitizer: service concurrency stress + chaos ==="
+echo "=== [6/7] ThreadSanitizer: service concurrency stress + chaos ==="
 TSAN_FLAGS="-fsanitize=thread -fno-omit-frame-pointer"
 cmake -B build-tsan -S . \
   -DCMAKE_BUILD_TYPE=Debug \
@@ -73,7 +80,7 @@ cmake --build build-tsan -j --target service_stress_test service_chaos_test net_
   exploration_fuzz_test storage_fuzz_test storage_chaos_test
 (cd build-tsan && ctest -L tier2 --output-on-failure --timeout "$CTEST_TIMEOUT")
 
-echo "=== [6/6] benchmark telemetry (BENCH_*.json) + counter guard ==="
+echo "=== [7/7] benchmark telemetry (BENCH_*.json) + counter guard ==="
 ./build/bench/query_cache_bench --json BENCH_query_cache.json
 ./build/bench/candidate_filter --json BENCH_candidate_filter.json
 ./build/bench/fig12_montgomery_tradeoffs --json BENCH_fig12_montgomery_tradeoffs.json

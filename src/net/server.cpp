@@ -15,11 +15,10 @@
 #include "support/error.hpp"
 #include "support/failpoint.hpp"
 #include "support/strings.hpp"
-#include "support/trace.hpp"
 
 namespace dslayer::net {
 
-using service::Request;
+using service::FrontEndCore;
 using service::Response;
 
 namespace {
@@ -32,9 +31,12 @@ constexpr std::size_t kMaxReadPerPass = 256 * 1024;
 
 }  // namespace
 
-NetServer::NetServer(service::SessionManager& manager, service::RequestExecutor& executor,
-                     Options options)
-    : manager_(&manager), executor_(&executor), options_(options) {
+NetServer::NetServer(service::DirectiveContext context, Options options)
+    : core_([&] {
+        context.front_end = [this] { return stats(); };
+        return std::move(context);
+      }()),
+      options_(options) {
   DSLAYER_REQUIRE(options_.conn_inflight_cap > 0, "per-connection in-flight cap must be positive");
   DSLAYER_REQUIRE(options_.max_connections > 0, "connection cap must be positive");
 }
@@ -71,7 +73,7 @@ void NetServer::stop() {
   // Worker callbacks submitted by this server touch completions_lock_
   // and the wakeup fd; drain the executor so none outlive these
   // members. (A no-op if the caller already shut the executor down.)
-  executor_->drain();
+  core_.executor().drain();
   connections_.clear();
   interest_.clear();
   {
@@ -82,8 +84,8 @@ void NetServer::stop() {
   stopping_ = false;
 }
 
-NetServer::Stats NetServer::stats() const {
-  Stats stats;
+service::FrontEndCounters NetServer::stats() const {
+  service::FrontEndCounters stats;
   stats.accepted = accepted_.load(std::memory_order_relaxed);
   stats.closed = closed_.load(std::memory_order_relaxed);
   stats.rejected_connects = rejected_connects_.load(std::memory_order_relaxed);
@@ -182,7 +184,7 @@ void NetServer::handle_accept() {
       refusal.session = "-";
       refusal.status = service::ResponseStatus::kRejected;
       refusal.code = service::ErrorCode::kOverloaded;
-      refusal.retry_after_ms = executor_->retry_after_hint_ms();
+      refusal.retry_after_ms = core_.executor().retry_after_hint_ms();
       refusal.output = "error: server at connection capacity — retry later\n";
       const std::string rendered = service::render_response(refusal);
       [[maybe_unused]] const auto n =
@@ -239,130 +241,66 @@ void NetServer::handle_readable(Connection& conn) {
   }
 }
 
-service::DirectiveContext NetServer::directive_context() {
-  service::DirectiveContext context;
-  context.manager = manager_;
-  context.executor = executor_;
-  context.front_end = [this] {
-    const Stats s = stats();
-    service::FrontEndCounters counters;
-    counters.accepted = s.accepted;
-    counters.closed = s.closed;
-    counters.rejected_connects = s.rejected_connects;
-    counters.requests = s.requests;
-    counters.responses = s.responses;
-    counters.invalid_lines = s.invalid_lines;
-    counters.oversized_lines = s.oversized_lines;
-    counters.directives = s.directives;
-    counters.idle_closed = s.idle_closed;
-    counters.slow_reader_closed = s.slow_reader_closed;
-    counters.faulted = s.faulted;
-    counters.open_connections = s.open_connections;
-    return counters;
+void NetServer::parse_buffered(Connection& conn) {
+  // Malformed and oversized lines are answered inline, on this thread.
+  const FrontEndCore::Write answer = [this, &conn](const Response& response) {
+    conn.outbox += service::render_response(response);
+    ++responses_;
   };
-  return context;
-}
-
-bool NetServer::parse_buffered(Connection& conn) {
   std::string line;
   for (;;) {
-    if (conn.has_pending_directive) return false;  // sync point: stop until it runs
-    if (conn.in_flight >= options_.conn_inflight_cap) return false;
+    if (conn.has_pending_directive) return;  // sync point: stop until it runs
+    if (conn.in_flight >= options_.conn_inflight_cap) return;
     const auto received = std::chrono::steady_clock::now();
     const LineBuffer::Status status = conn.lines.next(line);
-    if (status == LineBuffer::Status::kNeedMore) return true;
+    if (status == LineBuffer::Status::kNeedMore) return;
     if (status == LineBuffer::Status::kOversized) {
       ++oversized_lines_;
-      const Response bad = service::invalid_request_response(
-          ++conn.next_request_id,
-          cat("request line over ", std::to_string(options_.max_line_bytes), " bytes"));
-      conn.outbox += service::render_response(bad);
-      ++responses_;
+      core_.answer_invalid(
+          conn.next_request_id,
+          cat("request line over ", std::to_string(options_.max_line_bytes), " bytes"), answer);
       continue;
     }
-    if (service::is_directive(line)) {
-      if (trim(line) == "!metrics") {
-        // Scrapes must not block behind a busy queue: the payload is
-        // built purely from thread-safe snapshots, so serve it inline
-        // instead of parking as a barrier like the other directives.
-        conn.outbox += service::render_metrics(*manager_, *executor_,
-                                               directive_context().front_end);
-        ++directives_;
-        conn.last_activity = std::chrono::steady_clock::now();
-        continue;
-      }
-      conn.pending_directive = line;
-      conn.has_pending_directive = true;
-      continue;  // the loop head parks until in_flight reaches zero
-    }
-    std::string parse_error;
-    std::optional<Request> request = service::parse_request(line, &parse_error);
-    if (!request.has_value()) {
-      if (parse_error.empty()) continue;  // blank / comment
+    FrontEndCore::Line accepted = core_.accept(line, conn.next_request_id, received, answer);
+    if (accepted.kind == FrontEndCore::LineKind::kInvalid) {
       ++invalid_lines_;
-      const Response bad =
-          service::invalid_request_response(++conn.next_request_id, parse_error);
-      conn.outbox += service::render_response(bad);
-      ++responses_;
-      continue;
-    }
-    request->id = ++conn.next_request_id;
-    service::begin_request_trace(*request, received);
-    submit_request(conn, std::move(*request));
-  }
-}
-
-void NetServer::submit_request(Connection& conn, Request request) {
-  ++requests_;
-  const std::uint64_t conn_id = conn.id;
-  const std::uint64_t request_id = request.id;
-  const std::string session = request.session;
-  const auto request_trace = request.trace;
-  const bool accepted =
-      executor_->try_submit(std::move(request), [this, conn_id, request_trace](Response response) {
-        // Worker thread: render off-loop, hand the bytes over, poke the
-        // loop. Never touches the Connection itself. The respond span
-        // covers render + handoff; the trace finishes here because this
-        // is the last per-request work whose end is observable off-loop
-        // (the socket write happens on the loop thread a wakeup later).
-        std::uint32_t respond_span = trace::kNoParent;
-        if (request_trace != nullptr) {
-          respond_span = request_trace->open_span(trace::SpanKind::kRespond);
-        }
+    } else if (accepted.kind == FrontEndCore::LineKind::kDirective && trim(line) == "!metrics") {
+      // Scrapes must not block behind a busy queue: the payload is built
+      // purely from thread-safe snapshots, so serve it inline instead of
+      // parking as a barrier like the other directives.
+      std::ostringstream out;
+      service::run_directive(core_.context(), line, out);
+      conn.outbox += out.str();
+      ++directives_;
+      conn.last_activity = std::chrono::steady_clock::now();
+    } else if (accepted.kind == FrontEndCore::LineKind::kDirective) {
+      conn.pending_directive = line;
+      conn.has_pending_directive = true;  // the loop head parks until in_flight reaches zero
+    } else if (accepted.kind == FrontEndCore::LineKind::kRequest) {
+      ++requests_;
+      // Every submitted request, even one refused at the door, answers
+      // through the completion queue, so it is in flight until then.
+      ++conn.in_flight;
+      const std::uint64_t conn_id = conn.id;
+      core_.try_submit(std::move(accepted.request), [this, conn_id](const Response& response) {
+        // Render where the response completes (a worker, or this thread
+        // for a refusal), hand the bytes over, poke the loop. Never
+        // touches the Connection itself. The respond span covers render +
+        // handoff: the socket write happens on the loop thread a wakeup
+        // later.
         enqueue_completion(conn_id, service::render_response(response));
-        if (request_trace != nullptr) {
-          request_trace->close_span(respond_span);
-          trace::Tracer::instance().finish(request_trace);
-        }
       });
-  if (accepted) {
-    ++conn.in_flight;
-    return;
+    }
   }
-  trace::Tracer::instance().finish(request_trace);  // null-safe; rejected at the door
-  // Executor backpressure (queue at capacity / shutting down): answer
-  // rejected-with-hint immediately — the per-connection cap keeps any
-  // one client from monopolizing the queue, so this is a global-overload
-  // signal, and the retry policy belongs to the client.
-  Response rejection;
-  rejection.id = request_id;
-  rejection.session = session;
-  rejection.status = service::ResponseStatus::kRejected;
-  rejection.code = service::ErrorCode::kOverloaded;
-  rejection.retry_after_ms = executor_->retry_after_hint_ms();
-  rejection.output = "error: queue full — resubmit\n";
-  conn.outbox += service::render_response(rejection);
-  ++responses_;
 }
 
 void NetServer::run_pending_directive(Connection& conn) {
   // A directive observes exactly the state after every request above it:
   // this connection's requests have all answered (in_flight == 0 gates
-  // the call), and the global drain below extends that to the whole
+  // the call), and the core's executor drain extends that to the whole
   // executor, matching batch/serve semantics for !stats and !sessions.
-  executor_->drain();
   std::ostringstream out;
-  service::run_directive(directive_context(), conn.pending_directive, out);
+  core_.directive(conn.pending_directive, out);
   conn.outbox += out.str();
   conn.pending_directive.clear();
   conn.has_pending_directive = false;

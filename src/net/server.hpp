@@ -12,7 +12,10 @@
 // (service/protocol.hpp) — `<session>[@ms] <command>` lines in,
 // `== <id> <session> <status> ...` responses out, `!` directives as
 // synchronization points. Responses stream in completion order, whole-
-// response-atomic, with per-connection 1-based ids for matching.
+// response-atomic, with per-connection 1-based ids for matching. The
+// per-request steps (classify, id + trace, invalid answers, submit or
+// refuse, terminal accounting) are service::FrontEndCore's, shared with
+// batch and serve; this file keeps only outboxes and directive barriers.
 //
 // Overload behavior composes three layers:
 //   * executor queue capacity / queue-wait shedding → per-request
@@ -43,8 +46,6 @@
 #include "net/socket.hpp"
 #include "service/batch_runner.hpp"
 #include "service/protocol.hpp"
-#include "service/request_executor.hpp"
-#include "service/session_manager.hpp"
 
 namespace dslayer::net {
 
@@ -65,23 +66,10 @@ class NetServer {
     std::size_t max_line_bytes = service::kMaxRequestLineBytes;
   };
 
-  struct Stats {
-    std::uint64_t accepted = 0;         ///< connections accepted
-    std::uint64_t closed = 0;           ///< connections fully closed
-    std::uint64_t rejected_connects = 0;  ///< accepts refused at max_connections
-    std::uint64_t requests = 0;         ///< well-formed requests submitted
-    std::uint64_t responses = 0;        ///< responses written to outboxes
-    std::uint64_t invalid_lines = 0;    ///< parse failures answered inline
-    std::uint64_t oversized_lines = 0;  ///< lines over max_line_bytes
-    std::uint64_t directives = 0;       ///< '!' sync points executed
-    std::uint64_t idle_closed = 0;      ///< idle-timeout victims
-    std::uint64_t slow_reader_closed = 0;
-    std::uint64_t faulted = 0;          ///< connections killed by failpoints/io errors
-    std::size_t open_connections = 0;
-  };
-
-  NetServer(service::SessionManager& manager, service::RequestExecutor& executor,
-            Options options);
+  /// `context` is the same DirectiveContext the stream front ends build
+  /// (manager, executor, optional durable catalog); the server injects
+  /// its own connection counters as `front_end`.
+  NetServer(service::DirectiveContext context, Options options);
   ~NetServer();  ///< stop() if still running
 
   NetServer(const NetServer&) = delete;
@@ -99,7 +87,10 @@ class NetServer {
   /// Idempotent; called by the destructor.
   void stop();
 
-  Stats stats() const;
+  /// Connection-lifecycle counters: `requests` counts well-formed
+  /// requests submitted, `invalid_lines` the malformed lines answered
+  /// inline, `responses` what reached an outbox.
+  service::FrontEndCounters stats() const;
 
  private:
   struct Completion {
@@ -107,18 +98,12 @@ class NetServer {
     std::string rendered;
   };
 
-  /// Directive context carrying this server's connection counters into
-  /// `!stats`/`!metrics` (service cannot depend on net, so the counters
-  /// travel as a snapshot provider).
-  service::DirectiveContext directive_context();
-
   void loop();
   void handle_accept();
   void handle_readable(Connection& conn);
   void handle_writable(Connection& conn);
   void pump(Connection& conn);
-  bool parse_buffered(Connection& conn);
-  void submit_request(Connection& conn, service::Request request);
+  void parse_buffered(Connection& conn);
   void run_pending_directive(Connection& conn);
   void apply_completions();
   void sweep_idle();
@@ -127,8 +112,10 @@ class NetServer {
   void enqueue_completion(std::uint64_t conn_id, std::string rendered);
   void wake();
 
-  service::SessionManager* manager_;
-  service::RequestExecutor* executor_;
+  /// The per-request steps shared with batch/serve; its context carries
+  /// this server's counters into `!stats`/`!metrics` (service cannot
+  /// depend on net, so they travel as a snapshot provider).
+  service::FrontEndCore core_;
   Options options_;
 
   Socket listener_;

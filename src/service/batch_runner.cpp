@@ -5,8 +5,8 @@
 #include <istream>
 #include <map>
 #include <mutex>
+#include <optional>
 #include <ostream>
-#include <thread>
 #include <utility>
 #include <vector>
 
@@ -62,18 +62,15 @@ void print_stats(const DirectiveContext& context, std::ostream& out) {
   }
 }
 
-/// Records the respond span around `write` and finishes the trace —
-/// every terminal delivery path funnels through here exactly once.
-template <typename WriteFn>
-void respond_and_finish(const std::shared_ptr<trace::Trace>& trace, WriteFn&& write) {
-  if (trace == nullptr) {
-    write();
-    return;
-  }
-  const std::uint32_t span = trace->open_span(trace::SpanKind::kRespond);
-  write();
-  trace->close_span(span);
-  trace::Tracer::instance().finish(trace);
+void begin_request_trace(Request& request, std::chrono::steady_clock::time_point received) {
+  auto& tracer = trace::Tracer::instance();
+  if (!tracer.enabled()) return;
+  request.trace = tracer.start(request.session, request.id, received);
+  if (request.trace == nullptr) return;
+  const auto parsed = trace::Trace::Clock::now();
+  const std::uint32_t ingress =
+      request.trace->add_span(trace::SpanKind::kIngress, received, parsed);
+  request.trace->add_span(trace::SpanKind::kParse, received, parsed, ingress);
 }
 
 void print_failpoints(const std::vector<support::FailpointRegistry::Info>& infos,
@@ -114,26 +111,6 @@ void run_failpoint_directive(const std::vector<std::string>& words, std::ostream
 }
 
 }  // namespace
-
-void begin_request_trace(Request& request, std::chrono::steady_clock::time_point received) {
-  auto& tracer = trace::Tracer::instance();
-  if (!tracer.enabled()) return;
-  request.trace = tracer.start(request.session, request.id, received);
-  if (request.trace == nullptr) return;
-  const auto parsed = trace::Trace::Clock::now();
-  const std::uint32_t ingress =
-      request.trace->add_span(trace::SpanKind::kIngress, received, parsed);
-  request.trace->add_span(trace::SpanKind::kParse, received, parsed, ingress);
-}
-
-void count_terminal(const Response& response, BatchSummary& summary) {
-  switch (response.status) {
-    case ResponseStatus::kOk: break;
-    case ResponseStatus::kError: ++summary.errors; break;
-    case ResponseStatus::kRejected: ++summary.rejected; break;
-    case ResponseStatus::kDeadlineExceeded: ++summary.deadline_expired; break;
-  }
-}
 
 bool run_directive(const DirectiveContext& context, const std::string& line, std::ostream& out) {
   SessionManager& manager = *context.manager;
@@ -201,170 +178,172 @@ bool run_directive(const DirectiveContext& context, const std::string& line, std
   return true;
 }
 
-bool run_directive(SessionManager& manager, RequestExecutor& executor, const std::string& line,
-                   std::ostream& out) {
-  DirectiveContext context;
-  context.manager = &manager;
-  context.executor = &executor;
-  return run_directive(context, line, out);
+FrontEndCore::FrontEndCore(DirectiveContext context) : context_(std::move(context)) {}
+
+FrontEndCore::Line FrontEndCore::accept(std::string_view text, std::uint64_t& next_id,
+                                        std::chrono::steady_clock::time_point received,
+                                        const Write& answer) {
+  Line line;
+  if (is_directive(text)) {
+    line.kind = LineKind::kDirective;
+    return line;
+  }
+  std::string parse_error;
+  std::optional<Request> request = parse_request(text, &parse_error);
+  if (!request.has_value()) {
+    if (parse_error.empty()) return line;  // blank / comment
+    answer_invalid(next_id, parse_error, answer);
+    line.kind = LineKind::kInvalid;
+    return line;
+  }
+  request->id = ++next_id;
+  requests_.add();
+  begin_request_trace(*request, received);
+  line.kind = LineKind::kRequest;
+  line.request = std::move(*request);
+  return line;
+}
+
+void FrontEndCore::answer_invalid(std::uint64_t& next_id, const std::string& error,
+                                  const Write& answer) {
+  requests_.add();
+  deliver(nullptr, invalid_request_response(++next_id, error), answer);
+}
+
+void FrontEndCore::try_submit(Request request, Write write) {
+  const std::uint64_t id = request.id;
+  std::string session = request.session;
+  std::shared_ptr<trace::Trace> request_trace = request.trace;
+  if (executor().try_submit(std::move(request), completion(request_trace, write))) return;
+  // Refused at the door (queue at capacity, enqueue fault, shutting
+  // down): answer once, now — the retry policy belongs to the client.
+  deliver(request_trace,
+          queue_full_response(id, std::move(session), executor().retry_after_hint_ms()), write);
+}
+
+RequestExecutor::Callback FrontEndCore::completion(std::shared_ptr<trace::Trace> trace,
+                                                   Write write) {
+  return [this, trace = std::move(trace), write = std::move(write)](Response response) {
+    deliver(trace, response, write);
+  };
+}
+
+void FrontEndCore::deliver(const std::shared_ptr<trace::Trace>& trace, const Response& response,
+                           const Write& write) {
+  if (trace == nullptr) {
+    write(response);
+  } else {
+    const std::uint32_t span = trace->open_span(trace::SpanKind::kRespond);
+    write(response);
+    trace->close_span(span);
+    trace::Tracer::instance().finish(trace);
+  }
+  switch (response.status) {
+    case ResponseStatus::kOk: break;
+    case ResponseStatus::kError: errors_.add(); break;
+    case ResponseStatus::kRejected: rejected_.add(); break;
+    case ResponseStatus::kDeadlineExceeded: deadline_expired_.add(); break;
+  }
+}
+
+void FrontEndCore::directive(const std::string& line, std::ostream& out) {
+  executor().drain();
+  run_directive(context_, line, out);
+}
+
+BatchSummary FrontEndCore::summary() const {
+  BatchSummary summary;
+  summary.requests = requests_.get();
+  summary.errors = errors_.get();
+  summary.rejected = rejected_.get();
+  summary.deadline_expired = deadline_expired_.get();
+  return summary;
 }
 
 BatchSummary run_batch(SessionManager& manager, RequestExecutor& executor, std::istream& in,
                        std::ostream& out, storage::DurableCatalog* durable) {
-  DirectiveContext context;
-  context.manager = &manager;
-  context.executor = &executor;
-  context.durable = durable;
-  BatchSummary summary;
+  FrontEndCore core({&manager, &executor, {}, durable});
   // Submissions go through a retrying client: transient refusals (full
   // queue, shed, degraded layer, busy sessions) are retried with backoff
   // and only terminal responses land here.
   ServiceClient client(executor);
 
-  // Responses arrive on worker/retry threads in completion order; the
+  // Responses are rendered where they complete, in completion order; the
   // batch contract is submission order, so they park here until a flush.
   std::mutex collect_lock;
   std::condition_variable room;
-  std::map<std::uint64_t, Response> responses;
-  std::size_t outstanding = 0;  // guarded by collect_lock
+  std::map<std::uint64_t, std::string> parked;
+  std::uint64_t answered = 0;  // guarded by collect_lock
+  const FrontEndCore::Write park = [&](const Response& response) {
+    std::string text = render_response(response);
+    std::lock_guard<std::mutex> guard(collect_lock);
+    parked.emplace(response.id, std::move(text));
+    ++answered;
+    room.notify_one();
+  };
 
-  // Drains the client (every request terminal) and prints everything
-  // collected so far, in submission order. Runs at every directive (a
-  // synchronization point — the directive must observe exactly the state
-  // after the requests above it) and at end of input.
+  // Waits until every request is terminal, then prints everything parked
+  // so far in submission order. Runs at every directive (a sync point —
+  // the directive must observe exactly the state after the requests above
+  // it) and at end of input.
   const auto flush = [&] {
     client.drain();
-    executor.drain();
     std::lock_guard<std::mutex> guard(collect_lock);
-    for (const auto& [id, response] : responses) {
-      count_terminal(response, summary);
-      out << render_response(response);
-    }
-    responses.clear();
+    for (const auto& [id, text] : parked) out << text;
+    parked.clear();
   };
 
   std::uint64_t next_id = 0;
   std::string line;
   while (std::getline(in, line)) {
-    const auto received = std::chrono::steady_clock::now();
-    if (is_directive(line)) {
+    FrontEndCore::Line accepted =
+        core.accept(line, next_id, std::chrono::steady_clock::now(), park);
+    if (accepted.kind == FrontEndCore::LineKind::kDirective) {
       flush();
-      run_directive(context, line, out);
-      continue;
+      core.directive(line, out);
+    } else if (accepted.kind == FrontEndCore::LineKind::kRequest) {
+      {
+        // Reader-side throttle: cap unanswered ids at the executor's
+        // queue capacity so a fast reader leans on backpressure instead
+        // of ballooning the client's retry queue.
+        std::unique_lock<std::mutex> guard(collect_lock);
+        room.wait(guard, [&] { return next_id - answered <= executor.options().queue_capacity; });
+      }
+      auto request_trace = accepted.request.trace;
+      client.submit(std::move(accepted.request), core.completion(std::move(request_trace), park));
     }
-    std::string parse_error;
-    std::optional<Request> request = parse_request(line, &parse_error);
-    if (!request.has_value()) {
-      if (parse_error.empty()) continue;  // blank / comment
-      Response bad = invalid_request_response(++next_id, parse_error);
-      std::lock_guard<std::mutex> guard(collect_lock);
-      responses.emplace(bad.id, std::move(bad));
-      ++summary.requests;
-      continue;
-    }
-    request->id = ++next_id;
-    ++summary.requests;
-    begin_request_trace(*request, received);
-    {
-      // Reader-side throttle: cap requests in flight at the executor's
-      // queue capacity so a fast reader leans on backpressure instead of
-      // ballooning the client's retry queue.
-      std::unique_lock<std::mutex> guard(collect_lock);
-      room.wait(guard, [&] { return outstanding < executor.options().queue_capacity; });
-      ++outstanding;
-    }
-    // Batch mode renders output later (at a flush, in submission order),
-    // so the trace finishes at terminal delivery without a respond span.
-    auto request_trace = request->trace;
-    client.submit(*request, [&collect_lock, &room, &responses, &outstanding,
-                             request_trace](Response response) {
-      trace::Tracer::instance().finish(request_trace);
-      std::lock_guard<std::mutex> guard(collect_lock);
-      responses.emplace(response.id, std::move(response));
-      --outstanding;
-      room.notify_one();
-    });
   }
   flush();
   client.shutdown();
-  return summary;
+  return core.summary();
 }
 
 BatchSummary run_serve(SessionManager& manager, RequestExecutor& executor, std::istream& in,
                        std::ostream& out, storage::DurableCatalog* durable) {
-  DirectiveContext context;
-  context.manager = &manager;
-  context.executor = &executor;
-  context.durable = durable;
-  BatchSummary summary;
+  FrontEndCore core({&manager, &executor, {}, durable});
   std::mutex out_lock;  // responses print whole from worker threads
+  const FrontEndCore::Write print = [&](const Response& response) {
+    const std::string text = render_response(response);
+    std::lock_guard<std::mutex> guard(out_lock);
+    out << text;
+    out.flush();
+  };
   std::uint64_t next_id = 0;
   std::string line;
   while (std::getline(in, line)) {
-    const auto received = std::chrono::steady_clock::now();
-    if (is_directive(line)) {
-      // Drain before locking: in-flight requests finish by delivering
-      // under out_lock, so draining while holding it would deadlock.
-      executor.drain();
-      std::lock_guard<std::mutex> guard(out_lock);
-      run_directive(context, line, out);
+    FrontEndCore::Line accepted =
+        core.accept(line, next_id, std::chrono::steady_clock::now(), print);
+    if (accepted.kind == FrontEndCore::LineKind::kDirective) {
+      // The drain inside directive() leaves no completion to race this
+      // thread's write, so no lock is taken (or held across the drain).
+      core.directive(line, out);
       out.flush();
-      continue;
-    }
-    std::string parse_error;
-    std::optional<Request> request = parse_request(line, &parse_error);
-    if (!request.has_value()) {
-      if (parse_error.empty()) continue;  // blank / comment
-      std::lock_guard<std::mutex> guard(out_lock);
-      out << render_response(invalid_request_response(++next_id, parse_error));
-      out.flush();
-      ++summary.errors;
-      continue;
-    }
-    request->id = ++next_id;
-    ++summary.requests;
-    begin_request_trace(*request, received);
-    // Every executor-delivered terminal lands in the summary: rejections
-    // the executor produced itself (shed at dequeue, busy sessions,
-    // degraded layer) and expired deadlines used to vanish here, leaving
-    // only the direct queue-full path below counted — so serve and batch
-    // summaries disagreed for the same input.
-    auto request_trace = request->trace;
-    const auto deliver = [&out_lock, &out, &summary, request_trace](Response response) {
-      respond_and_finish(request_trace, [&] {
-        std::lock_guard<std::mutex> guard(out_lock);
-        count_terminal(response, summary);
-        out << render_response(response);
-        out.flush();
-      });
-    };
-    // Bounded retries make backpressure visible instead of blocking the
-    // reader forever: after `kRetries` full queues the request is
-    // reported rejected and the client may resubmit.
-    constexpr int kRetries = 50;
-    bool accepted = false;
-    for (int attempt = 0; attempt < kRetries && !accepted; ++attempt) {
-      accepted = executor.try_submit(*request, deliver);
-      if (!accepted) std::this_thread::sleep_for(std::chrono::milliseconds(2));
-    }
-    if (!accepted) {
-      Response rejection;
-      rejection.id = request->id;
-      rejection.session = request->session;
-      rejection.status = ResponseStatus::kRejected;
-      rejection.code = ErrorCode::kOverloaded;
-      rejection.retry_after_ms = executor.retry_after_hint_ms();
-      rejection.output = "error: queue full — resubmit\n";
-      respond_and_finish(request_trace, [&] {
-        std::lock_guard<std::mutex> guard(out_lock);
-        count_terminal(rejection, summary);
-        out << render_response(rejection);
-        out.flush();
-      });
+    } else if (accepted.kind == FrontEndCore::LineKind::kRequest) {
+      core.try_submit(std::move(accepted.request), print);
     }
   }
   executor.drain();
-  return summary;
+  return core.summary();
 }
 
 }  // namespace dslayer::service

@@ -50,14 +50,8 @@ void ServiceClient::attempt_submit(const TrackedPtr& tracked) {
   if (accepted) return;
   // Never enqueued (full queue / enqueue failpoint / stopped executor):
   // synthesize the retryable rejection the executor would have produced.
-  Response rejection;
-  rejection.id = tracked->request.id;
-  rejection.session = tracked->request.session;
-  rejection.status = ResponseStatus::kRejected;
-  rejection.code = ErrorCode::kOverloaded;
-  rejection.retry_after_ms = executor_->retry_after_hint_ms();
-  rejection.output = "error: queue full — resubmit\n";
-  on_response(tracked, std::move(rejection));
+  on_response(tracked, queue_full_response(tracked->request.id, tracked->request.session,
+                                           executor_->retry_after_hint_ms()));
 }
 
 void ServiceClient::on_response(const TrackedPtr& tracked, Response response) {

@@ -33,9 +33,8 @@
 
 namespace dslayer::service {
 
-/// Connection-lifecycle counters of a TCP front end, decoupled from
-/// net::NetServer::Stats so the service layer stays net-free. The net
-/// layer copies its stats into this shape inside its provider.
+/// Connection-lifecycle counters of a TCP front end. Defined here so the
+/// service layer stays net-free; net::NetServer::stats() reports them.
 struct FrontEndCounters {
   std::uint64_t accepted = 0;
   std::uint64_t closed = 0;

@@ -148,6 +148,17 @@ Response invalid_request_response(std::uint64_t id, const std::string& error) {
   return bad;
 }
 
+Response queue_full_response(std::uint64_t id, std::string session, double retry_after_ms) {
+  Response rejection;
+  rejection.id = id;
+  rejection.session = std::move(session);
+  rejection.status = ResponseStatus::kRejected;
+  rejection.code = ErrorCode::kOverloaded;
+  rejection.retry_after_ms = retry_after_ms;
+  rejection.output = "error: queue full — resubmit\n";
+  return rejection;
+}
+
 std::string render_response(const Response& response) {
   std::string out = cat("== ", response.id, " ", response.session, " ",
                         to_string(response.status));

@@ -14,9 +14,10 @@
 // a whole number of milliseconds, so session names cannot contain `'@'`
 // (a token like `user@host` is rejected with a message that says so
 // rather than a misleading deadline-parse error). Blank lines and `#`
-// comments are skipped. Lines starting with `!` are front-end directives (handled
-// synchronously by the batch runner, not queued): `!sessions`, `!stats`,
-// `!close <session>`, `!drain`, `!failpoint <spec>`.
+// comments are skipped. Lines starting with `!` are front-end directives
+// (handled synchronously by the front end, not queued): `!sessions`,
+// `!stats`, `!metrics`, `!close <session>`, `!drain`, `!failpoint <spec>`,
+// `!failpoint list`, `!snapshot`, `!restore` (see batch_runner.hpp).
 //
 // Every queued request yields exactly one Response. The batch front end
 // renders a response as a `== <id> <session> <status>` header line —
@@ -120,6 +121,11 @@ bool is_directive(std::string_view line);
 /// `error` lands in the output as "error: <error>". Every front end
 /// (batch, serve, TCP) answers malformed input with this shape.
 Response invalid_request_response(std::uint64_t id, const std::string& error);
+
+/// The canonical kRejected/kOverloaded answer for a request the executor
+/// refused at the door (try_submit() returned false), carrying the
+/// executor's retry-after hint. Front ends and ServiceClient alike.
+Response queue_full_response(std::uint64_t id, std::string session, double retry_after_ms);
 
 /// Renders the `== <id> <session> <status>` header plus output. Non-ok
 /// codes append ` code=<name>`; a positive retry_after_ms appends

@@ -58,7 +58,8 @@ class NetChaosTest : public ::testing::Test {
   void start(NetServer::Options net_options, RequestExecutor::Options exec_options) {
     executor_ = std::make_unique<RequestExecutor>(manager_, exec_options);
     net_options.port = 0;
-    server_ = std::make_unique<NetServer>(manager_, *executor_, net_options);
+    server_ = std::make_unique<NetServer>(service::DirectiveContext{&manager_, executor_.get()},
+                                          net_options);
     std::string error;
     ASSERT_TRUE(server_->start(&error)) << error;
   }

@@ -16,6 +16,7 @@
 #include <chrono>
 #include <memory>
 #include <set>
+#include <sstream>
 #include <string>
 #include <thread>
 #include <vector>
@@ -24,9 +25,12 @@
 #include "net/line_buffer.hpp"
 #include "net/server.hpp"
 #include "net/socket.hpp"
+#include "service/batch_runner.hpp"
 #include "service/request_executor.hpp"
 #include "service/session_manager.hpp"
 #include "service/shared_layer.hpp"
+#include "storage/durable_catalog.hpp"
+#include "storage/file_io.hpp"
 #include "support/strings.hpp"
 #include "support/trace.hpp"
 
@@ -96,6 +100,15 @@ TEST(LineBuffer, CompleteButOversizedLineDoesNotEatItsNeighbors) {
 // ---------------------------------------------------------------------------
 // loopback harness
 // ---------------------------------------------------------------------------
+
+/// Response headers ("== " at line start) in a stream of responses.
+std::size_t count_headers(const std::string& text) {
+  std::size_t count = 0;
+  for (std::size_t pos = 0; (pos = text.find("== ", pos)) != std::string::npos; pos += 3) {
+    if (pos == 0 || text[pos - 1] == '\n') ++count;
+  }
+  return count;
+}
 
 /// Blocking test-side client with a read-until-predicate helper.
 class TestClient {
@@ -181,13 +194,7 @@ class TestClient {
     return received_;
   }
 
-  std::size_t header_count() const {
-    std::size_t count = 0;
-    for (std::size_t pos = 0; (pos = received_.find("== ", pos)) != std::string::npos; pos += 3) {
-      if (pos == 0 || received_[pos - 1] == '\n') ++count;
-    }
-    return count;
-  }
+  std::size_t header_count() const { return count_headers(received_); }
 
   const std::string& received() const { return received_; }
 
@@ -203,7 +210,8 @@ class NetTest : public ::testing::Test {
   void start(NetServer::Options net_options = {}, RequestExecutor::Options exec_options = {}) {
     executor_ = std::make_unique<RequestExecutor>(manager_, exec_options);
     net_options.port = 0;  // ephemeral: tests never fight over a port
-    server_ = std::make_unique<NetServer>(manager_, *executor_, net_options);
+    server_ = std::make_unique<NetServer>(service::DirectiveContext{&manager_, executor_.get()},
+                                          net_options);
     std::string error;
     ASSERT_TRUE(server_->start(&error)) << error;
   }
@@ -336,6 +344,62 @@ TEST_F(NetTest, DeadlineExpiryTravelsTheWire) {
   EXPECT_NE(text.find("== 1 s1 ok"), std::string::npos) << text;
   EXPECT_NE(text.find("== 2 s1 deadline-exceeded code=deadline-exceeded"), std::string::npos)
       << text;
+}
+
+TEST_F(NetTest, BatchServeAndTcpAccountOneScriptAlike) {
+  // One script through all three front ends. Regression: run_serve
+  // counted a malformed line as an error but not as a request, so its
+  // summary disagreed with run_batch's for the same input.
+  const std::string script =
+      "\n"
+      "# a comment\n"
+      "lonely\n"
+      "s1 help\n"
+      "s1@1 help\n"  // expires queued behind the first request's latency
+      "!sessions\n"
+      "s2 help\n";
+  RequestExecutor::Options exec_options;
+  exec_options.workers = 1;
+  exec_options.injected_latency_us = 30000.0;
+
+  service::BatchSummary batch;
+  std::string batch_text;
+  {
+    RequestExecutor executor(manager_, exec_options);
+    std::istringstream in(script);
+    std::ostringstream out;
+    batch = service::run_batch(manager_, executor, in, out);
+    batch_text = out.str();
+  }
+  service::BatchSummary serve;
+  std::string serve_text;
+  {
+    RequestExecutor executor(manager_, exec_options);
+    std::istringstream in(script);
+    std::ostringstream out;
+    serve = service::run_serve(manager_, executor, in, out);
+    serve_text = out.str();
+  }
+  start({}, exec_options);
+  TestClient client(port());
+  ASSERT_TRUE(client.ok());
+  client.send_all(script);
+  const std::string& wire = client.read_responses(4);
+
+  EXPECT_EQ(batch.requests, 4u) << batch_text;
+  EXPECT_EQ(batch.errors, 1u) << batch_text;
+  EXPECT_EQ(batch.rejected, 0u) << batch_text;
+  EXPECT_EQ(batch.deadline_expired, 1u) << batch_text;
+  EXPECT_EQ(serve.requests, batch.requests) << serve_text;
+  EXPECT_EQ(serve.errors, batch.errors) << serve_text;
+  EXPECT_EQ(serve.rejected, batch.rejected) << serve_text;
+  EXPECT_EQ(serve.deadline_expired, batch.deadline_expired) << serve_text;
+
+  EXPECT_EQ(count_headers(batch_text), 4u) << batch_text;
+  EXPECT_EQ(count_headers(serve_text), 4u) << serve_text;
+  EXPECT_EQ(client.header_count(), 4u) << wire;
+  const auto stats = server_->stats();
+  EXPECT_EQ(stats.requests + stats.invalid_lines, batch.requests);
 }
 
 // ---------------------------------------------------------------------------
@@ -547,6 +611,37 @@ TEST_F(NetTest, TracedRequestSpanChainAccountsForTheClientLatency) {
   EXPECT_LE(top_level_ms, client_ms * 1.05)
       << "span chain " << top_level_ms << "ms vs client " << client_ms << "ms";
   trace::Tracer::instance().reset();
+}
+
+// ---------------------------------------------------------------------------
+// durable catalog over the wire
+// ---------------------------------------------------------------------------
+
+TEST(NetDurable, SnapshotDirectiveOverTcpWritesTheDurableCatalog) {
+  // Regression: the server built its directive context from the manager
+  // and executor alone, so `!snapshot` over TCP answered "no durable
+  // catalog" even in a process started with --data.
+  const std::string dir = ::testing::TempDir() + "dslayer_net_snapshot";
+  for (const std::string& name : storage::list_directory(dir)) {
+    storage::remove_file(dir + "/" + name);
+  }
+  storage::ensure_directory(dir);
+  auto layer = domains::build_crypto_layer();
+  storage::DurableCatalog durable(*layer, {.dir = dir});
+  SharedLayer shared(*layer, SharedLayer::Reindex::kFull);
+  SessionManager manager(shared);
+  RequestExecutor executor(manager);
+  NetServer server({&manager, &executor, {}, &durable}, {});
+  std::string error;
+  ASSERT_TRUE(server.start(&error)) << error;
+
+  TestClient client(server.port());
+  ASSERT_TRUE(client.ok());
+  client.send_all("!snapshot\n");
+  const std::string& text = client.read_until("\n");
+  EXPECT_EQ(text.rfind("snapshot: ", 0), 0u) << text;
+  EXPECT_TRUE(storage::path_exists(dir + "/catalog.snap"));
+  server.stop();
 }
 
 }  // namespace

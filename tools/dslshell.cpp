@@ -257,12 +257,10 @@ volatile std::sig_atomic_t g_stop_requested = 0;
 
 void request_stop(int) { g_stop_requested = 1; }
 
-int run_listen(dsl::DesignSpaceLayer& layer, const CliOptions& options,
-               service::SharedLayer::Reindex reindex) {
-  service::SharedLayer shared(layer, reindex);
-  service::SessionManager manager(shared, options.sessions);
-  service::RequestExecutor executor(manager, options.executor);
-  net::NetServer server(manager, executor, options.net);
+int run_listen(const dsl::DesignSpaceLayer& layer, service::SessionManager& manager,
+               service::RequestExecutor& executor, const CliOptions& options,
+               storage::DurableCatalog* durable) {
+  net::NetServer server({&manager, &executor, {}, durable}, options.net);
   std::string error;
   if (!server.start(&error)) {
     std::cerr << "cannot listen on port " << options.net.port << ": " << error << "\n";
@@ -298,10 +296,12 @@ int run_service(dsl::DesignSpaceLayer& layer, const CliOptions& options,
   const auto reindex = durable != nullptr && durable->boot_report().loaded_snapshot
                            ? service::SharedLayer::Reindex::kPreserve
                            : service::SharedLayer::Reindex::kFull;
-  if (options.mode == CliOptions::Mode::kListen) return run_listen(layer, options, reindex);
   service::SharedLayer shared(layer, reindex);
   service::SessionManager manager(shared, options.sessions);
   service::RequestExecutor executor(manager, options.executor);
+  if (options.mode == CliOptions::Mode::kListen) {
+    return run_listen(layer, manager, executor, options, durable);
+  }
 
   service::BatchSummary summary;
   if (options.mode == CliOptions::Mode::kServe) {
