@@ -8,7 +8,7 @@ over a fixed synthetic library make them exactly reproducible. This script
 compares those counters, and the oracle flags riding along, against the
 committed baselines in bench/baselines/counters.json:
 
-    { "BENCH_candidate_filter.json": { "declarative.legacy.constraint_evaluations": 1457000, ... }, ... }
+    { "BENCH_candidate_filter.json": { "declarative.columnar_simd.constraint_evaluations": 3625175, ... }, ... }
 
 Dotted keys index into the bench JSON. Any drift — more work per query, a
 lost early-exit, overlay writes reappearing on the columnar path, an engine

@@ -58,8 +58,8 @@ cmake --build build-asan -j
 (cd build-asan && ctest -R 'ServiceChaos|NetChaos|Failpoint' --output-on-failure --timeout "$CTEST_TIMEOUT")
 # Columnar oracle suite with the word kernels pinned: once all-scalar, once
 # on the widest ISA the host supports (DSLAYER_SIMD overrides the runtime
-# dispatch; see src/support/simd.hpp). Any lane/tail/NaN divergence between
-# the paths trips the twin-session oracles under ASan+UBSan.
+# dispatch; see src/support/simd.hpp). Any lane/tail/NaN divergence from
+# the reference scan in the test file trips the oracles under ASan+UBSan.
 DSLAYER_SIMD=scalar ./build-asan/tests/dsl_columnar_oracle_test
 DSLAYER_SIMD=widest ./build-asan/tests/dsl_columnar_oracle_test
 
@@ -81,7 +81,6 @@ cmake --build build-tsan -j --target service_stress_test service_chaos_test net_
 (cd build-tsan && ctest -L tier2 --output-on-failure --timeout "$CTEST_TIMEOUT")
 
 echo "=== [7/7] benchmark telemetry (BENCH_*.json) + counter guard ==="
-./build/bench/query_cache_bench --json BENCH_query_cache.json
 ./build/bench/candidate_filter --json BENCH_candidate_filter.json
 ./build/bench/fig12_montgomery_tradeoffs --json BENCH_fig12_montgomery_tradeoffs.json
 ./build/bench/service_throughput --json BENCH_service_throughput.json

@@ -444,7 +444,7 @@ simd::Lane lane_at(const simd::Lane& lane, std::size_t word) {
   return lane.col != nullptr ? simd::Lane{lane.col + (word << 6), lane.broadcast} : lane;
 }
 
-/// Scalar (legacy-exact) evaluation of one op for one row.
+/// Scalar (reference-exact) evaluation of one op for one row.
 bool op_holds_row(const ResolvedOp& op, std::size_t row) {
   const Cell lhs = fetch(op.lhs, row);
   const Cell rhs = fetch(op.rhs, row);
@@ -741,9 +741,9 @@ std::vector<const Core*> run_core_filter(const CoreFilterPlan& plan, const Filte
   for (const FilterQuery::Equality& eq : query.decided) apply_equality(eq);
   for (const FilterQuery::Equality& eq : query.require_equal) apply_equality(eq);
 
-  // Step 2b: metric bounds. Lowered as the NEGATED legacy rejection
+  // Step 2b: metric bounds. Lowered as the NEGATED per-core rejection
   // compare (`metric > bound` for at-most), so NaN metrics are kept by
-  // the word kernel exactly as the legacy operators kept them.
+  // the word kernel exactly as the scalar operators keep them.
   for (const FilterQuery::MetricBound& bound : query.require_metric) {
     const Column* column =
         bound.symbol == support::kNoSymbol ? nullptr : table.metric_column(bound.symbol);
@@ -817,9 +817,9 @@ std::vector<const Core*> run_core_filter(const CoreFilterPlan& plan, const Filte
   }
 
   // Step 3: predicate constraints in index order. Evaluating each over
-  // the surviving mask reproduces the legacy per-core early exit — a row
-  // killed by predicate i is never examined by predicate i+1 — so the
-  // ConstraintEvaluated totals match the legacy loop exactly.
+  // the surviving mask reproduces a per-core early exit — a row killed by
+  // predicate i is never examined by predicate i+1 — so the
+  // ConstraintEvaluated totals match a per-core loop exactly.
   Bindings merged;       // lazily initialized scratch for opaque predicates
   bool merged_ready = false;
   for (const CompiledPredicate& predicate : plan.predicates) {
@@ -887,7 +887,7 @@ std::vector<const Core*> run_core_filter(const CoreFilterPlan& plan, const Filte
           }
           // Rows the word kernel could not see faithfully (a column
           // value absent, falling back to a session binding; or a
-          // scalar-only op) re-run the exact legacy evaluation.
+          // scalar-only op) re-run the exact scalar evaluation.
           std::uint64_t bits = patch & viol;
           while (bits != 0) {
             const int bit = std::countr_zero(bits);

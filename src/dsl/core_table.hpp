@@ -1,9 +1,9 @@
 // Columnar core store + compiled constraint kernels (DESIGN.md §10, §14).
 //
-// The legacy candidate filter re-interprets every core on every cold
-// query: string-keyed map lookups per decided issue, a freshly allocated
-// merged-bindings map per core, and an opaque violated() call per
-// (core, predicate). This file is the data-oriented replacement:
+// A plain candidate filter re-interprets every core on every cold query:
+// string-keyed map lookups per decided issue, a merged-bindings map per
+// core, and an opaque violated() call per (core, predicate). This file is
+// the data-oriented engine that replaces it:
 //
 //  * CoreTable — a structure-of-arrays snapshot of one CDO subtree's
 //    cores. One contiguous column per bound property / metric (keyed by
@@ -41,10 +41,11 @@
 //    lambda entirely (counted as kPrefilterSkip); only the residual
 //    runs interpreted.
 //
-// The engine mirrors the legacy semantics exactly — same survivors, same
-// ConstraintEvaluated / ComplianceCheck counter totals — which the
-// tier-1 columnar oracle test enforces on randomized libraries, with
-// kernels forced to scalar and to the widest supported ISA.
+// The engine matches that plain per-core scan exactly — same survivors,
+// same ConstraintEvaluated / ComplianceCheck counter totals — which the
+// tier-1 columnar oracle test enforces against a reference scan written in
+// the test, on randomized libraries, with kernels forced to scalar and to
+// the widest supported ISA.
 #pragma once
 
 #include <cstdint>
@@ -312,10 +313,10 @@ struct FilterQuery {
   std::vector<Custom> custom;               ///< step 2: registered filters
 };
 
-/// Runs the filter; returns surviving cores in table row order (the
-/// legacy scan order). Counts kComplianceCheck once per row and
+/// Runs the filter; returns surviving cores in table row order
+/// (cores_under() order). Counts kComplianceCheck once per row and
 /// kConstraintEvaluated per (row, predicate) actually reached, exactly
-/// like the legacy loop.
+/// like a per-core loop with early exit.
 std::vector<const Core*> run_core_filter(const CoreFilterPlan& plan, const FilterQuery& query,
                                          telemetry::Telemetry& telemetry);
 
@@ -325,9 +326,10 @@ std::size_t columnar_parallel_threshold();
 void set_columnar_parallel_threshold(std::size_t rows);
 
 /// Applies one core's bindings on top of a session snapshot and undoes
-/// them on revert() — the allocation-free replacement for the legacy
-/// per-core `Bindings merged = bound` rebuild. apply() returns the
-/// number of map writes performed (the kOverlayWrite telemetry count).
+/// them on revert() — the opaque-predicate path's allocation-free
+/// alternative to a per-core `Bindings merged = bound` rebuild. apply()
+/// returns the number of map writes performed (the kOverlayWrite
+/// telemetry count).
 class BindingsOverlay {
  public:
   explicit BindingsOverlay(Bindings& base) : base_(&base) {}

@@ -6,11 +6,8 @@
 #include <set>
 #include <sstream>
 
-#include "support/cancel.hpp"
 #include "support/error.hpp"
-#include "support/failpoint.hpp"
 #include "support/strings.hpp"
-#include "support/trace.hpp"
 
 namespace dslayer::dsl {
 
@@ -100,7 +97,7 @@ const Property& ExplorationSession::require_property(const std::string& name,
 }
 
 const Bindings& ExplorationSession::bindings() const {
-  if (cache_enabled_ && bindings_generation_ == generation_) {
+  if (bindings_generation_ == generation_) {
     telemetry_.emit(EventKind::kCacheHit, "bindings");
     return bindings_cache_;
   }
@@ -434,7 +431,7 @@ void ExplorationSession::declare_prefilter(const std::string& name,
 }
 
 const std::vector<const Core*>& ExplorationSession::candidates() const {
-  if (cache_enabled_ && candidates_generation_ == generation_) {
+  if (candidates_generation_ == generation_) {
     telemetry_.emit(EventKind::kCacheHit, "candidates");
     return candidates_cache_;
   }
@@ -446,94 +443,13 @@ const std::vector<const Core*>& ExplorationSession::candidates() const {
 }
 
 std::vector<const Core*> ExplorationSession::compute_candidates() const {
-  return columnar_enabled_ ? compute_candidates_columnar() : compute_candidates_legacy();
-}
-
-std::vector<const Core*> ExplorationSession::compute_candidates_legacy() const {
-  // Chaos/deadline hook: a delay armed here stalls the scan so a request
-  // deadline can expire mid-sweep and hit the per-core checkpoint below.
-  DSLAYER_FAILPOINT("dsl.candidates.sweep");
-  const std::vector<const Core*>& cores = layer_->cores_under(*current_);
-  const Bindings& bound = bindings();
-  const ConstraintIndex& idx = layer_->constraint_index(*current_);
-
-  // One merged-bindings map for the whole scan: each core's bindings are
-  // overlaid before its predicate checks and undone after, instead of
-  // rebuilding the map per core.
-  Bindings merged = bound;
-  BindingsOverlay overlay(merged);
-
-  const auto complies = [&](const Core& core) {
-    // 1. Every explicitly decided, core-filtering design issue must match
-    //    the core's binding.
-    for (const auto& [name, entry] : entries_) {
-      if (entry.is_requirement || entry.is_structural || entry.value.empty()) continue;
-      const Property* p = current_->find_property(name);
-      if (p == nullptr || p->kind != PropertyKind::kDesignIssue || !p->filters_cores) continue;
-      const auto binding = core.binding(name);
-      if (!binding.has_value() || !(*binding == entry.value)) return false;
-    }
-    // 2. Requirements: custom filter first, declarative compliance second.
-    for (const auto& [name, entry] : entries_) {
-      if (!entry.is_requirement || entry.value.empty()) continue;
-      if (const auto* filter = layer_->core_filter(name)) {
-        if (!(*filter)(core, bound)) return false;
-        continue;
-      }
-      const Property* p = current_->find_property(name);
-      if (p == nullptr || p->compliance == Compliance::kNone) continue;
-      const std::string key = p->compliance_key.empty() ? name : p->compliance_key;
-      if (p->compliance == Compliance::kCoreEquals) {
-        const auto binding = core.binding(key);
-        if (!binding.has_value() || !(*binding == entry.value)) return false;
-      } else {
-        const auto metric = core.metric(key);
-        if (!metric.has_value()) return false;
-        const double required = entry.value.as_number();
-        if (p->compliance == Compliance::kCoreAtMost && *metric > required) return false;
-        if (p->compliance == Compliance::kCoreAtLeast && *metric < required) return false;
-      }
-    }
-    // 3. Constraint compliance: overlay the core's own bindings and check
-    //    every predicate constraint (this is how CC4 removes dominated
-    //    cores even before the designer touches the corresponding issue).
-    telemetry_.count(EventKind::kOverlayWrite, overlay.apply(core));
-    bool ok = true;
-    for (const ConsistencyConstraint* cc : idx.predicates) {
-      telemetry_.count(EventKind::kConstraintEvaluated);
-      if (cc->violated(merged)) {
-        ok = false;
-        break;
-      }
-    }
-    overlay.revert();
-    return ok;
-  };
-
-  std::vector<const Core*> out;
-  // Sweep span for sampled request traces (null scope = one thread-local
-  // load and no span).
-  trace::SpanTimer sweep_span(trace::TraceScope::current(), trace::SpanKind::kSweep,
-                              trace::TraceScope::current() != nullptr
-                                  ? cat("legacy cores=", cores.size())
-                                  : std::string{});
-  for (const Core* core : cores) {
-    // Cooperative cancellation: derived-query work only, so an expired
-    // request deadline unwinds here without touching session entries.
-    support::cancellation_checkpoint();
-    telemetry_.count(EventKind::kComplianceCheck);
-    if (complies(*core)) out.push_back(core);
-  }
-  return out;
-}
-
-std::vector<const Core*> ExplorationSession::compute_candidates_columnar() const {
   const CoreFilterPlan& plan = layer_->filter_plan(*current_);
   const Bindings& bound = bindings();
 
-  // Translate the session state into a FilterQuery, mirroring the legacy
-  // complies() steps entry by entry (entries_ iterates in name order, so
-  // value-conversion errors surface in the same order too).
+  // Translate the session state into a FilterQuery entry by entry:
+  // core-filtering decisions, then requirements (a registered custom filter
+  // wins over declarative compliance). entries_ iterates in name order, so
+  // value-conversion errors surface in a fixed order.
   FilterQuery query;
   query.bound = &bound;
   for (const auto& [name, entry] : entries_) {

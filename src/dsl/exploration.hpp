@@ -224,24 +224,7 @@ class ExplorationSession {
   /// would have raised.
   static ExplorationSession replay(const DesignSpaceLayer& layer, const std::string& jsonl);
 
-  // -- query cache & observability ---------------------------------------------------
-
-  /// Enables/disables the memoization of bindings() and candidates().
-  /// Disabled, every query recomputes from scratch (the pre-index
-  /// behavior) — kept for benchmarking and distrust-the-cache debugging.
-  void set_query_cache(bool enabled) { cache_enabled_ = enabled; }
-  bool query_cache_enabled() const { return cache_enabled_; }
-
-  /// Selects the candidates() engine: the columnar filter plan (default;
-  /// DESIGN.md §10) or the legacy per-core scan. Both produce identical
-  /// candidate sets and counter totals — the oracle test enforces it —
-  /// so this exists for benchmarking and distrust-the-columns debugging.
-  /// Toggling invalidates the memoized candidates.
-  void set_columnar(bool enabled) {
-    if (columnar_enabled_ != enabled) touch();
-    columnar_enabled_ = enabled;
-  }
-  bool columnar_enabled() const { return columnar_enabled_; }
+  // -- observability & prefilters ---------------------------------------------------
 
   /// Declares a PredicateAtom conjunction ACCEPT-prefilter for the
   /// custom core filter registered under requirement `name` (DESIGN.md
@@ -253,9 +236,9 @@ class ExplorationSession {
   /// The declaration is a performance promise by the caller ("rows
   /// satisfying these atoms always pass my filter"); rows the atoms do
   /// not prove still go through the lambda, so an overly conservative
-  /// prefilter only costs speed. The legacy engine ignores prefilters
-  /// entirely, which is what lets the oracle suite cross-check the
-  /// declaration against the full lambda. Passing an empty vector
+  /// prefilter only costs speed. The reference scan in tests/ ignores
+  /// prefilters entirely, which is what lets the oracle suite cross-check
+  /// the declaration against the full lambda. Passing an empty vector
   /// clears the declaration. Invalidates memoized candidates.
   void declare_prefilter(const std::string& name, std::vector<PredicateAtom> pass_when);
 
@@ -286,8 +269,6 @@ class ExplorationSession {
 
   Bindings compute_bindings() const;
   std::vector<const Core*> compute_candidates() const;
-  std::vector<const Core*> compute_candidates_legacy() const;
-  std::vector<const Core*> compute_candidates_columnar() const;
 
   const DesignSpaceLayer* layer_;
   const Cdo* root_;
@@ -298,8 +279,6 @@ class ExplorationSession {
 
   // Memoized query layer: results tagged with the generation they were
   // computed at; any mutation bumps generation_ and implicitly invalidates.
-  bool cache_enabled_ = true;
-  bool columnar_enabled_ = true;
   std::uint64_t generation_ = 1;
   mutable std::uint64_t bindings_generation_ = 0;  // 0 = never computed
   mutable Bindings bindings_cache_;

@@ -37,7 +37,6 @@ constexpr const char* kHelp = R"(commands:
   trace replay <file>      rebuild a session deterministically from a journal
   timings                  per-query-kind latency histograms (count/p50/p95/max)
   stats [reset]            query-cache / index counters (layer + session)
-  cache on|off             enable/disable the session's query memoization
   help                     this text
   quit                     leave the shell)";
 
@@ -280,15 +279,9 @@ ShellEngine::Status ShellEngine::dispatch(const std::vector<std::string>& words,
     } else {
       out << "layer:   " << layer.query_stats().summary() << "\n";
       if (session_ != nullptr) {
-        out << "session: " << session_->query_stats().summary() << " (cache "
-            << (session_->query_cache_enabled() ? "on" : "off") << ")\n";
+        out << "session: " << session_->query_stats().summary() << "\n";
       }
     }
-  } else if (cmd == "cache") {
-    DSLAYER_REQUIRE(words.size() >= 2 && (words[1] == "on" || words[1] == "off"),
-                    "usage: cache on|off");
-    need_session().set_query_cache(words[1] == "on");
-    out << "query cache " << words[1] << "\n";
   } else {
     throw ExplorationError(cat("unknown command '", cmd, "' (try: help)"));
   }

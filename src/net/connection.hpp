@@ -34,6 +34,7 @@
 
 #include <chrono>
 #include <cstdint>
+#include <optional>
 #include <string>
 
 #include "net/line_buffer.hpp"
@@ -65,8 +66,7 @@ struct Connection {
   /// A directive line ('!...') is a sync point: it parks here until
   /// every earlier request on this connection has answered, and no
   /// further input is parsed (or read) until it has run.
-  std::string pending_directive;
-  bool has_pending_directive = false;
+  std::optional<std::string> pending_directive;
 
   /// Bumped on read/write progress and on every completion, so a
   /// connection waiting on a slow request is never idle-closed.
@@ -75,7 +75,7 @@ struct Connection {
   std::size_t unflushed() const { return outbox.size() - out_offset; }
 
   bool wants_read(std::size_t inflight_cap, std::size_t max_output_buffer_bytes) const {
-    return state == ConnState::kReading && !has_pending_directive && in_flight < inflight_cap &&
+    return state == ConnState::kReading && !pending_directive && in_flight < inflight_cap &&
            unflushed() < max_output_buffer_bytes;
   }
 

@@ -249,7 +249,7 @@ void NetServer::parse_buffered(Connection& conn) {
   };
   std::string line;
   for (;;) {
-    if (conn.has_pending_directive) return;  // sync point: stop until it runs
+    if (conn.pending_directive) return;  // sync point: stop until it runs
     if (conn.in_flight >= options_.conn_inflight_cap) return;
     const auto received = std::chrono::steady_clock::now();
     const LineBuffer::Status status = conn.lines.next(line);
@@ -274,8 +274,7 @@ void NetServer::parse_buffered(Connection& conn) {
       ++directives_;
       conn.last_activity = std::chrono::steady_clock::now();
     } else if (accepted.kind == FrontEndCore::LineKind::kDirective) {
-      conn.pending_directive = line;
-      conn.has_pending_directive = true;  // the loop head parks until in_flight reaches zero
+      conn.pending_directive = line;  // the loop head parks until in_flight reaches zero
     } else if (accepted.kind == FrontEndCore::LineKind::kRequest) {
       ++requests_;
       // Every submitted request, even one refused at the door, answers
@@ -300,10 +299,9 @@ void NetServer::run_pending_directive(Connection& conn) {
   // the call), and the core's executor drain extends that to the whole
   // executor, matching batch/serve semantics for !stats and !sessions.
   std::ostringstream out;
-  core_.directive(conn.pending_directive, out);
+  core_.directive(*conn.pending_directive, out);
   conn.outbox += out.str();
-  conn.pending_directive.clear();
-  conn.has_pending_directive = false;
+  conn.pending_directive.reset();
   ++directives_;
   conn.last_activity = std::chrono::steady_clock::now();
 }
@@ -311,7 +309,7 @@ void NetServer::run_pending_directive(Connection& conn) {
 void NetServer::pump(Connection& conn) {
   for (;;) {
     parse_buffered(conn);
-    if (conn.has_pending_directive && conn.in_flight == 0) {
+    if (conn.pending_directive && conn.in_flight == 0) {
       run_pending_directive(conn);
       continue;  // the directive may unblock further buffered lines
     }
@@ -326,7 +324,7 @@ void NetServer::pump(Connection& conn) {
     close_connection(conn);
     return;
   }
-  if (conn.state == ConnState::kDraining && conn.in_flight == 0 && !conn.has_pending_directive &&
+  if (conn.state == ConnState::kDraining && conn.in_flight == 0 && !conn.pending_directive &&
       conn.unflushed() == 0) {
     conn.state = ConnState::kClosing;
     close_connection(conn);

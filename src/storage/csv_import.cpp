@@ -1,6 +1,7 @@
 #include "storage/csv_import.hpp"
 
 #include <algorithm>
+#include <cmath>
 #include <cstdlib>
 #include <map>
 #include <utility>
@@ -175,7 +176,8 @@ CsvImportResult import_csv(std::string_view csv, const std::string& default_libr
           break;
         case ColumnRole::kMetric: {
           double number;
-          if (!parse_number(cell, number)) {
+          // strtod takes "nan"/"inf" whole; range folds need finite metrics.
+          if (!parse_number(cell, number) || !std::isfinite(number)) {
             throw StorageError(cat("csv line ", row_line, ": metric '", columns[i].target,
                                    "' value '", cell, "' is not a number"));
           }

@@ -14,7 +14,7 @@
 //     SUPPRESSES any outer deadline, which is how non-cancellable
 //     sections (session migration replay) protect their invariants.
 //   * cancellation_checkpoint() — called from the candidate-filter hot
-//     loops (legacy scan per core, columnar engine per sweep). Throws
+//     loop (the columnar engine, per sweep). Throws
 //     DeadlineExceeded when the installed deadline has passed. Without
 //     an installed deadline it is one thread-local load and a branch;
 //     with one it additionally strides the clock read (every

@@ -185,23 +185,25 @@ TEST(QueryCache, MutationsInvalidate) {
   EXPECT_EQ(s.candidates().size(), 2u);
 }
 
-TEST(QueryCache, DisabledCacheRecomputesButAgrees) {
+TEST(QueryCache, ReplayedSessionStartsColdAndAgrees) {
   auto layer = chained_layer();
-  ExplorationSession cached(*layer, "Node");
-  ExplorationSession uncached(*layer, "Node");
-  uncached.set_query_cache(false);
-  EXPECT_FALSE(uncached.query_cache_enabled());
+  ExplorationSession s(*layer, "Node");
+  s.decide("Tech", "new");
+  const std::vector<const Core*> warm = s.candidates();
 
-  for (ExplorationSession* s : {&cached, &uncached}) {
-    s->decide("Tech", "new");
-  }
-  EXPECT_EQ(cached.candidates(), uncached.candidates());
+  // A rebuilt session shares no memo with its source: its first query
+  // recomputes, and lands on the same candidates.
+  ExplorationSession rebuilt = ExplorationSession::replay(*layer, s.export_journal());
+  rebuilt.reset_query_stats();
+  EXPECT_EQ(rebuilt.candidates(), warm);
+  const QueryStats cold = rebuilt.query_stats();
+  EXPECT_GE(cold.cache_misses, 1u);
+  EXPECT_GT(cold.compliance_checks, 0u);  // a full sweep ran
 
-  uncached.reset_query_stats();
-  (void)uncached.candidates();
-  (void)uncached.candidates();
-  EXPECT_EQ(uncached.query_stats().cache_hits, 0u);
-  EXPECT_GE(uncached.query_stats().cache_misses, 2u);
+  // The second query is served by the rebuilt session's own memo.
+  EXPECT_EQ(rebuilt.candidates(), warm);
+  EXPECT_GT(rebuilt.query_stats().cache_hits, cold.cache_hits);
+  EXPECT_EQ(rebuilt.query_stats().compliance_checks, cold.compliance_checks);
 }
 
 // ---------------------------------------------------------------------------

@@ -39,7 +39,7 @@ TEST_F(ShellTest, HelpListsCommands) {
   const ShellRun r = run(*layer_, "help\n");
   EXPECT_EQ(r.failures, 0);
   for (const char* cmd : {"open", "req", "decide", "ranges", "decompose", "trace", "stats",
-                          "cache", "timings", "trace export", "trace replay", "pending",
+                          "timings", "trace export", "trace replay", "pending",
                           "report", "candidates", "derived", "rank", "retract", "reaffirm",
                           "options", "range", "doc", "tree", "quit", "help"}) {
     EXPECT_NE(r.output.find(cmd), std::string::npos) << cmd;
@@ -53,18 +53,14 @@ TEST_F(ShellTest, StatsAndCacheCommands) {
                          "candidates\n"
                          "candidates\n"
                          "stats\n"
-                         "cache off\n"
-                         "stats\n"
                          "stats reset\n"
-                         "cache bogus\n");
-  EXPECT_EQ(r.failures, 1);  // only `cache bogus` fails
+                         "cache off\n");
+  EXPECT_EQ(r.failures, 1);  // only `cache off` fails: memoization has no switch
   EXPECT_NE(r.output.find("layer:"), std::string::npos);
   EXPECT_NE(r.output.find("session:"), std::string::npos);
   EXPECT_NE(r.output.find("cache hits"), std::string::npos);
-  EXPECT_NE(r.output.find("(cache on)"), std::string::npos);
-  EXPECT_NE(r.output.find("(cache off)"), std::string::npos);
   EXPECT_NE(r.output.find("counters reset"), std::string::npos);
-  EXPECT_NE(r.output.find("usage: cache on|off"), std::string::npos);
+  EXPECT_NE(r.output.find("unknown command 'cache'"), std::string::npos);
 }
 
 TEST_F(ShellTest, TreeShowsHierarchyAndCensus) {

@@ -345,11 +345,15 @@ TEST(ServiceStress, EvictionUnderPinChurnNeverYanksAPinnedSession) {
   options.max_sessions = 2;  // one slot for "pinned", one contested
   SessionManager manager(shared, options);
 
-  // Warm the pinned session first (open/cache print candidate counts and
-  // would otherwise fire the delay below), THEN arm the stall.
+  // Warm the pinned session first (open/req print candidate counts and
+  // would otherwise fire the delay below), THEN arm the stall. The retract
+  // prints no count, so the `candidates` below starts a cold sweep.
   std::ostringstream warm;
   ASSERT_EQ(manager.execute("pinned", cat("open ", kOmm), warm), dsl::ShellEngine::Status::kOk);
-  ASSERT_EQ(manager.execute("pinned", "cache off", warm), dsl::ShellEngine::Status::kOk);
+  ASSERT_EQ(manager.execute("pinned", "req PowerBudget 1000000", warm),
+            dsl::ShellEngine::Status::kOk);
+  ASSERT_EQ(manager.execute("pinned", "retract PowerBudget", warm),
+            dsl::ShellEngine::Status::kOk);
   ASSERT_TRUE(failpoints.registry.arm_spec("dsl.candidates.sweep=delay:150:1"));
 
   std::thread holder([&] {
@@ -389,8 +393,9 @@ TEST(ServiceStress, EvictionUnderPinChurnNeverYanksAPinnedSession) {
   EXPECT_GE(stats.evicted, 1u);  // the contested slot actually churned
   EXPECT_LE(manager.session_count(), 2u);
   EXPECT_EQ(stats.created, stats.closed + stats.evicted + manager.session_count());
+  // open + req + retract + candidates on "pinned", then the churn.
   EXPECT_EQ(stats.commands + all_busy.load(),
-            3u + static_cast<std::uint64_t>(kChurners) * kItersPerChurner);
+            4u + static_cast<std::uint64_t>(kChurners) * kItersPerChurner);
 }
 
 }  // namespace

@@ -628,10 +628,11 @@ TEST_F(ExecutorTest, MidSweepCancellationLeavesSessionStateUnchanged) {
   for (const char* session : {"s1", "s2"}) {
     executor.submit(make(++id, session, cat("open ", kOmm)), expect_ok);
     executor.submit(make(++id, session, "req EffectiveOperandLength 768"), expect_ok);
-    // Memoization off, or the doomed `candidates` below would be a cache
-    // hit (open/req print the candidate count, warming it) and never
-    // reach the sweep failpoint.
-    executor.submit(make(++id, session, "cache off"), expect_ok);
+    // open/req print the candidate count, warming the memo; a retract
+    // prints none, so the doomed `candidates` below starts a cold sweep
+    // and reaches the sweep failpoint.
+    executor.submit(make(++id, session, "req PowerBudget 1000000"), expect_ok);
+    executor.submit(make(++id, session, "retract PowerBudget"), expect_ok);
   }
   executor.drain();
   ASSERT_EQ(errors.load(), 0);

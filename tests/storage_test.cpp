@@ -592,6 +592,22 @@ TEST(CsvImport, MalformedInputThrows) {
                StorageError);
 }
 
+TEST(CsvImport, NonFiniteMetricCellsAreRejected) {
+  // strtod accepts "nan" and "inf" whole; a NaN metric would make range
+  // answers depend on row order, so both are refused like any non-number.
+  for (const char* cell : {"nan", "inf"}) {
+    const std::string csv =
+        std::string("name,class,metric:area\nok,Block,80\nbad,Block,") + cell + "\n";
+    try {
+      import_csv(csv, "lib", 10, [](CatalogRecord) {});
+      ADD_FAILURE() << cell << " was imported";
+    } catch (const StorageError& e) {
+      EXPECT_EQ(std::string(e.what()),
+                std::string("csv line 3: metric 'area' value '") + cell + "' is not a number");
+    }
+  }
+}
+
 // -- declared failpoint catalog --------------------------------------------
 
 TEST(Failpoints, StorageSitesAreDeclared) {
