@@ -19,13 +19,12 @@
 #      rather than corrupting a catalog in production;
 #   6. ThreadSanitizer — the concurrency stress AND chaos tests (tier2) in
 #      a TSan build, gating the exploration service's locking model;
-#   7. benchmark telemetry — the query-cache, candidate-filter, Fig. 12,
-#      service throughput, network throughput, and storage cold-start
-#      benches emit machine-readable BENCH_*.json at the repo root for
-#      trend tracking, check_bench_counters.py gates their deterministic
-#      work counters against bench/baselines/, and check_metrics_format.py
-#      validates the `!metrics` scrape the net bench captures from its
-#      loaded server.
+#   7. benchmark telemetry — the candidate-filter, Fig. 12, service
+#      throughput, network throughput, and storage cold-start benches emit
+#      machine-readable BENCH_*.json at the repo root for trend tracking,
+#      check_bench_counters.py gates their deterministic work counters
+#      against bench/baselines/, and check_metrics_format.py validates the
+#      `!metrics` scrape the net bench captures from its loaded server.
 #
 # Every ctest run carries --timeout: the chaos/stress suites inject delays
 # and faults into lock-holding code, so "a test deadlocked" must surface

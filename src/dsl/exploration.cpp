@@ -62,10 +62,6 @@ ExplorationSession::ExplorationSession(const DesignSpaceLayer& layer,
   }
   root_ = cdo;
   current_ = cdo;
-  journal_ = std::make_shared<telemetry::JournalSink>(std::initializer_list<EventKind>{
-      EventKind::kSessionOpened, EventKind::kRequirementSet, EventKind::kDecision,
-      EventKind::kRetract, EventKind::kReaffirm});
-  telemetry_.add_sink(journal_);
   // Record the generalized options already implied by the class path as
   // structural decisions (they were "made" by choosing this class).
   for (const Cdo* c = cdo; c->parent() != nullptr; c = c->parent()) {
@@ -79,7 +75,7 @@ ExplorationSession::ExplorationSession(const DesignSpaceLayer& layer,
     }
   }
   log(cat("session opened at '", class_path, "'"));
-  telemetry_.emit(EventKind::kSessionOpened, root_->path());
+  record(EventKind::kSessionOpened, root_->path());
 }
 
 const Property& ExplorationSession::require_property(const std::string& name,
@@ -98,10 +94,10 @@ const Property& ExplorationSession::require_property(const std::string& name,
 
 const Bindings& ExplorationSession::bindings() const {
   if (bindings_generation_ == generation_) {
-    telemetry_.emit(EventKind::kCacheHit, "bindings");
+    telemetry_.count(EventKind::kCacheHit);
     return bindings_cache_;
   }
-  telemetry_.emit(EventKind::kCacheMiss, "bindings");
+  telemetry_.count(EventKind::kCacheMiss);
   telemetry::ScopedTimer timer(&telemetry_, "bindings");
   bindings_cache_ = compute_bindings();
   bindings_generation_ = generation_;
@@ -162,8 +158,7 @@ void ExplorationSession::check_consistency(const std::string& name, const Value&
       const char* why = cc->kind() == RelationKind::kDominanceElimination
                             ? "eliminated as inferior"
                             : "inconsistent";
-      telemetry_.emit(EventKind::kOptionEliminated, name,
-                      cat(value.to_string(), " vetoed by ", cc->id()));
+      telemetry_.count(EventKind::kOptionEliminated);
       throw ExplorationError(
           cat("constraint ", cc->id(), ": '", name, "' = ", value.to_string(), " is ", why,
               " with the current values (", cc->doc(), ")"));
@@ -206,8 +201,7 @@ void ExplorationSession::invalidate_dependents(const std::string& name) {
         it->second.state = State::kNeedsReassessment;
         log(cat("'", dep.property(), "' flagged for re-assessment (", cc->id(),
                 ": independent '", changed, "' changed)"));
-        telemetry_.emit(EventKind::kReassessmentFlagged, dep.property(),
-                        cat(cc->id(), ": independent '", changed, "' changed"));
+        telemetry_.count(EventKind::kReassessmentFlagged);
         frontier.push_back(dep.property());
       }
     }
@@ -230,7 +224,7 @@ void ExplorationSession::set_requirement(const std::string& name, Value value) {
   touch();
   log(cat(revision ? "requirement revised: " : "requirement set: ", name, " = ",
           e.value.to_string()));
-  telemetry_.emit(EventKind::kRequirementSet, name, encode_value(e.value));
+  record(EventKind::kRequirementSet, name, encode_value(e.value));
   invalidate_dependents(name);
   scan_conflicts(name);
 }
@@ -261,7 +255,7 @@ void ExplorationSession::decide(const std::string& name, Value value) {
   e.is_requirement = false;
   touch();
   log(cat(revision ? "decision revised: " : "decision: ", name, " = ", value.to_string()));
-  telemetry_.emit(EventKind::kDecision, name, encode_value(value));
+  record(EventKind::kDecision, name, encode_value(value));
   invalidate_dependents(name);
   scan_conflicts(name);
 
@@ -309,7 +303,7 @@ void ExplorationSession::retract(const std::string& name) {
     }
   }
   touch();
-  telemetry_.emit(EventKind::kRetract, name);
+  record(EventKind::kRetract, name);
   invalidate_dependents(name);
 }
 
@@ -323,7 +317,7 @@ void ExplorationSession::reaffirm(const std::string& name) {
   it->second.state = State::kSet;
   touch();
   log(cat("re-affirmed: ", name, " = ", it->second.value.to_string()));
-  telemetry_.emit(EventKind::kReaffirm, name);
+  record(EventKind::kReaffirm, name);
 }
 
 ExplorationSession::State ExplorationSession::state_of(const std::string& name) const {
@@ -383,7 +377,7 @@ std::vector<std::pair<std::string, std::string>> ExplorationSession::eliminated_
       }
       telemetry_.count(EventKind::kConstraintEvaluated);
       if (cc->violated(tentative)) {
-        telemetry_.emit(EventKind::kOptionEliminated, issue, cat(option, " by ", cc->id()));
+        telemetry_.count(EventKind::kOptionEliminated);
         out.emplace_back(option, cc->id());
         break;
       }
@@ -432,10 +426,10 @@ void ExplorationSession::declare_prefilter(const std::string& name,
 
 const std::vector<const Core*>& ExplorationSession::candidates() const {
   if (candidates_generation_ == generation_) {
-    telemetry_.emit(EventKind::kCacheHit, "candidates");
+    telemetry_.count(EventKind::kCacheHit);
     return candidates_cache_;
   }
-  telemetry_.emit(EventKind::kCacheMiss, "candidates");
+  telemetry_.count(EventKind::kCacheMiss);
   telemetry::ScopedTimer timer(&telemetry_, "candidates");
   candidates_cache_ = compute_candidates();
   candidates_generation_ = generation_;
@@ -657,6 +651,11 @@ ExplorationSession ExplorationSession::open_operator_session(const OperatorSite&
 }
 
 void ExplorationSession::log(std::string message) { trace_.push_back(std::move(message)); }
+
+void ExplorationSession::record(EventKind kind, std::string subject, std::string detail) {
+  journal_.push_back({journal_.size() + 1, kind, std::move(subject), std::move(detail)});
+  telemetry_.count(kind);
+}
 
 void ExplorationSession::export_journal(std::ostream& out) const {
   for (const telemetry::Event& event : journal()) {

@@ -23,7 +23,6 @@
 
 #include <cstdint>
 #include <iosfwd>
-#include <memory>
 #include <optional>
 #include <string>
 #include <vector>
@@ -193,22 +192,24 @@ class ExplorationSession {
 
   // -- self-documentation & telemetry ---------------------------------------------
 
-  /// Legacy human-readable log lines (kept for scripts and examples; the
-  /// structured record lives in telemetry()).
+  /// Human-readable narrative (descent, CONFLICT and re-assessment notes
+  /// the journal does not hold; kept for scripts and examples). The
+  /// structured record is journal().
   const std::vector<std::string>& trace() const { return trace_; }
 
   /// Human-readable session summary: scope, values, candidates, ranges.
   std::string report() const;
 
-  /// The session's telemetry hub: typed events (ring buffer), aggregate
-  /// counters, and per-query-kind latency histograms. Mutable through a
-  /// const session — observing a query is not a state change.
+  /// The session's telemetry hub: per-kind counters and per-query-kind
+  /// latency histograms. Mutable through a const session — observing a
+  /// query is not a state change.
   telemetry::Telemetry& telemetry() const { return telemetry_; }
 
-  /// The replay journal: every state-mutating event (SessionOpened,
-  /// RequirementSet, Decision, Retract, Reaffirm) since construction, in
-  /// order, unbounded.
-  const std::vector<telemetry::Event>& journal() const { return journal_->events(); }
+  /// The replay journal — the session's only event record: every
+  /// state-mutating event (SessionOpened, RequirementSet, Decision,
+  /// Retract, Reaffirm) since construction, in order, numbered 1..n,
+  /// unbounded. A copied session gets its own copy.
+  const std::vector<telemetry::Event>& journal() const { return journal_; }
 
   /// Writes the replay journal as JSONL (one event per line) — the
   /// record half of record/replay debugging.
@@ -244,7 +245,7 @@ class ExplorationSession {
 
   /// Counters for this session's queries: constraint evaluations, core
   /// compliance checks, cache hits/misses. A view over the telemetry
-  /// counters (resetting them does not erase the event trace or journal).
+  /// counters (resetting them does not erase the trace or journal).
   QueryStats query_stats() const { return stats_view(telemetry_); }
   void reset_query_stats() const { telemetry_.reset_counters(); }
 
@@ -262,6 +263,8 @@ class ExplorationSession {
   void scan_conflicts(const std::string& name);
   void invalidate_dependents(const std::string& name);
   void log(std::string message);
+  /// Appends a state-mutating event to the journal and counts it.
+  void record(telemetry::EventKind kind, std::string subject, std::string detail = {});
 
   /// Invalidates the memoized queries (bump after every value or scope
   /// mutation — the caches re-fill lazily).
@@ -285,11 +288,8 @@ class ExplorationSession {
   mutable std::uint64_t candidates_generation_ = 0;
   mutable std::vector<const Core*> candidates_cache_;
 
-  // Telemetry hub plus the always-attached replay journal (an unbounded
-  // JournalSink over the mutating kinds; shared_ptr because the hub owns
-  // its sinks type-erased and the session needs typed access).
   mutable telemetry::Telemetry telemetry_;
-  std::shared_ptr<telemetry::JournalSink> journal_;
+  std::vector<telemetry::Event> journal_;
 };
 
 }  // namespace dslayer::dsl

@@ -113,8 +113,7 @@ std::size_t DesignSpaceLayer::index_cores() {
   // cores of every descendant, replacing the per-call subtree() walk that
   // cores_under() used to do.
   telemetry::ScopedTimer timer(&telemetry_, "index_cores");
-  telemetry_.emit(telemetry::EventKind::kIndexRebuild, "subtree-core-index",
-                  cat(indexed, " cores"));
+  telemetry_.count(telemetry::EventKind::kIndexRebuild);
   for (const Cdo* root : space_.roots()) build_subtree_index(*root);
   return indexed;
 }

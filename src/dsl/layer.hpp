@@ -200,9 +200,8 @@ class DesignSpaceLayer {
   QueryStats query_stats() const { return stats_view(telemetry_); }
   void reset_query_stats() const { telemetry_.reset_counters(); }
 
-  /// The layer's telemetry hub. Layer-side events are counter-only (the
-  /// subtree/constraint caches are hot and shared across sessions); attach
-  /// a sink here to change that.
+  /// The layer's telemetry hub: counters plus the index/plan build
+  /// latency histograms.
   telemetry::Telemetry& telemetry() const { return telemetry_; }
 
  private:

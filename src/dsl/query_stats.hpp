@@ -7,11 +7,11 @@
 // through compliance checks, and how often the memoized caches and the
 // per-CDO indexes absorbed a query instead of a rescan.
 //
-// Since the telemetry subsystem landed, QueryStats is a VIEW over a
-// Telemetry hub's per-kind event counters (stats_view below), not a set
-// of hand-bumped fields: DesignSpaceLayer and ExplorationSession count
-// or emit typed events (support/telemetry.hpp) and derive these numbers
-// on demand. The shell's `stats` command prints them.
+// QueryStats is a VIEW over a Telemetry hub's per-kind counters
+// (stats_view below), not a set of hand-bumped fields: DesignSpaceLayer
+// and ExplorationSession count typed event kinds (support/telemetry.hpp)
+// and derive these numbers on demand. The shell's `stats` command prints
+// them.
 #pragma once
 
 #include <cstdint>

@@ -31,8 +31,8 @@ constexpr const char* kHelp = R"(commands:
   decompose                behavioral decomposition sites (DI7)
   pending                  properties awaiting re-assessment
   report                   session summary
-  trace [filter]           structured session events; filters: decisions, cache,
-                           legacy, or an event kind name (e.g. QueryTimed)
+  trace                    the session's journal (its decisions, in order)
+  trace legacy             the session's prose narrative
   trace export <file>      write the session's replay journal as JSONL
   trace replay <file>      rebuild a session deterministically from a journal
   timings                  per-query-kind latency histograms (count/p50/p95/max)
@@ -40,14 +40,11 @@ constexpr const char* kHelp = R"(commands:
   help                     this text
   quit                     leave the shell)";
 
-/// One line per structured event: sequence number, kind, payload.
+/// One line per journal event: sequence number, kind, payload.
 void print_event(std::ostream& out, const telemetry::Event& e) {
   out << "  #" << e.seq << " " << telemetry::to_string(e.kind);
   if (!e.subject.empty()) out << " " << e.subject;
   if (!e.detail.empty()) out << " " << e.detail;
-  if (e.kind == telemetry::EventKind::kQueryTimed) {
-    out << " " << format_double(e.duration_us, 4) << "us";
-  }
   out << "\n";
 }
 
@@ -216,10 +213,8 @@ ShellEngine::Status ShellEngine::dispatch(const std::vector<std::string>& words,
     DSLAYER_REQUIRE(words.size() >= 3, "usage: trace export <file>");
     const std::string path = rest_from(2);
     ExplorationSession& s = need_session();
-    // The journal travels through the pluggable JSONL sink, so a file
-    // written here is exactly what a live-attached sink would produce.
     telemetry::JsonlFileSink sink(path);
-    for (const auto& event : s.journal()) sink.on_event(event);
+    for (const auto& event : s.journal()) sink.write(event);
     out << "exported " << s.journal().size() << " events to " << path << "\n";
   } else if (cmd == "trace" && words.size() >= 2 && words[1] == "replay") {
     DSLAYER_REQUIRE(words.size() >= 3, "usage: trace replay <file>");
@@ -234,37 +229,13 @@ ShellEngine::Status ShellEngine::dispatch(const std::vector<std::string>& words,
         << " candidates\n";
   } else if (cmd == "trace") {
     ExplorationSession& s = need_session();
-    if (words.size() >= 2 && words[1] == "legacy") {
+    if (words.size() < 2) {
+      for (const auto& event : s.journal()) print_event(out, event);
+    } else if (words[1] == "legacy") {
       for (const auto& entry : s.trace()) out << "  - " << entry << "\n";
     } else {
-      using telemetry::EventKind;
-      const auto matches = [&words](EventKind kind) {
-        if (words.size() < 2 || words[1] == "all") return true;
-        if (words[1] == "decisions") {
-          return kind == EventKind::kSessionOpened || kind == EventKind::kRequirementSet ||
-                 kind == EventKind::kDecision || kind == EventKind::kRetract ||
-                 kind == EventKind::kReaffirm || kind == EventKind::kReassessmentFlagged ||
-                 kind == EventKind::kOptionEliminated;
-        }
-        if (words[1] == "cache") {
-          return kind == EventKind::kCacheHit || kind == EventKind::kCacheMiss ||
-                 kind == EventKind::kIndexRebuild;
-        }
-        const auto exact = telemetry::parse_event_kind(words[1]);
-        if (!exact.has_value()) {
-          throw ExplorationError(
-              cat("unknown trace filter '", words[1],
-                  "' (try: decisions, cache, legacy, all, or an event kind)"));
-        }
-        return kind == *exact;
-      };
-      const auto& ring = s.telemetry().ring();
-      if (ring.dropped() > 0) {
-        out << "  (" << ring.dropped() << " earlier events dropped by the ring buffer)\n";
-      }
-      for (const auto& event : ring.snapshot()) {
-        if (matches(event.kind)) print_event(out, event);
-      }
+      throw ExplorationError(cat("unknown trace filter '", words[1],
+                                 "' (try: trace, trace legacy, trace export, trace replay)"));
     }
   } else if (cmd == "timings") {
     print_timings(out, "layer", layer.telemetry().timings());

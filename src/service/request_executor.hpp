@@ -31,11 +31,11 @@
 //     the queue boundaries; workers translate any escaped exception into
 //     a terminal kInternal response rather than dying.
 //
-// Telemetry (PR 2 wiring): the executor owns a telemetry::Telemetry hub.
-// Per-request wall latency (queue wait + execution) feeds the "request"
-// histogram and a per-command-kind "request.<verb>" histogram; stats()
-// exposes the live queue-depth gauge, its high-water mark, and the
-// accepted/rejected/error counters.
+// Telemetry: the executor owns a telemetry::Telemetry hub (counters and
+// histograms only). Per-request wall latency (queue wait + execution)
+// feeds the "request" histogram and a per-command-kind "request.<verb>"
+// histogram; stats() exposes the live queue-depth gauge, its high-water
+// mark, and the accepted/rejected/error counters.
 //
 // Options::injected_latency_us simulates the paper's Fig. 1 deployment,
 // where compliance queries consult remote IP-provider catalogs: each
@@ -169,7 +169,7 @@ class RequestExecutor {
   bool stopping_ = false;
 
   mutable std::mutex telemetry_lock_;  ///< Telemetry::record_timing is not thread-safe
-  telemetry::Telemetry telemetry_{1024};
+  telemetry::Telemetry telemetry_;
   double ewma_queue_wait_ms_ = 0.0;  ///< guarded by telemetry_lock_
 
   RelaxedCounter accepted_;

@@ -22,15 +22,6 @@ constexpr std::array<const char*, kEventKindCount> kKindNames = {
     "QueryTimed",          "OverlayWrite",        "PrefilterSkip",
 };
 
-/// Shortest decimal rendering that round-trips an IEEE double through
-/// strtod (17 significant digits), so journaled durations and encoded
-/// numbers replay byte-exactly.
-std::string round_trip_double(double v) {
-  char buf[32];
-  std::snprintf(buf, sizeof(buf), "%.17g", v);
-  return buf;
-}
-
 }  // namespace
 
 const char* to_string(EventKind kind) {
@@ -69,8 +60,7 @@ std::string json_escape(std::string_view s) {
 
 std::string to_jsonl(const Event& event) {
   return cat("{\"seq\":", event.seq, ",\"kind\":\"", to_string(event.kind), "\",\"subject\":\"",
-             json_escape(event.subject), "\",\"detail\":\"", json_escape(event.detail),
-             "\",\"us\":", round_trip_double(event.duration_us), "}");
+             json_escape(event.subject), "\",\"detail\":\"", json_escape(event.detail), "\"}");
 }
 
 namespace {
@@ -186,11 +176,9 @@ std::optional<Event> parse_event_jsonl(std::string_view line) {
       double v = 0.0;
       if (!scan.parse_number(v)) return std::nullopt;
       event.seq = static_cast<std::uint64_t>(v);
-    } else if (key == "us") {
-      if (!scan.parse_number(event.duration_us)) return std::nullopt;
     } else {
-      // Unknown keys (schema growth) are skipped if string- or
-      // number-valued.
+      // Unknown keys (schema growth, or the "us" duration older journals
+      // carry) are skipped if string- or number-valued.
       std::string ignored_s;
       double ignored_n = 0.0;
       scan.skip_ws();
@@ -203,57 +191,6 @@ std::optional<Event> parse_event_jsonl(std::string_view line) {
   scan.skip_ws();
   if (scan.pos != scan.s.size() || !saw_kind) return std::nullopt;
   return event;
-}
-
-// ---------------------------------------------------------------------------
-// RingBufferSink
-// ---------------------------------------------------------------------------
-
-RingBufferSink::RingBufferSink(std::size_t capacity) : capacity_(std::max<std::size_t>(capacity, 1)) {
-  buffer_.reserve(std::min<std::size_t>(capacity_, 256));
-}
-
-void RingBufferSink::on_event(const Event& event) {
-  if (buffer_.size() < capacity_) {
-    buffer_.push_back(event);
-  } else {
-    buffer_[next_] = event;
-    next_ = (next_ + 1) % capacity_;
-  }
-  ++total_;
-}
-
-std::vector<Event> RingBufferSink::snapshot() const {
-  std::vector<Event> out;
-  out.reserve(buffer_.size());
-  for (std::size_t i = 0; i < buffer_.size(); ++i) {
-    out.push_back(buffer_[(next_ + i) % buffer_.size()]);
-  }
-  return out;
-}
-
-std::uint64_t RingBufferSink::dropped() const { return total_ - buffer_.size(); }
-
-void RingBufferSink::clear() {
-  buffer_.clear();
-  next_ = 0;
-  total_ = 0;
-}
-
-// ---------------------------------------------------------------------------
-// JournalSink
-// ---------------------------------------------------------------------------
-
-JournalSink::JournalSink(std::initializer_list<EventKind> kinds) : filtered_(true) {
-  for (const EventKind kind : kinds) accept_[static_cast<std::size_t>(kind)] = true;
-}
-
-bool JournalSink::accepts(EventKind kind) const {
-  return !filtered_ || accept_[static_cast<std::size_t>(kind)];
-}
-
-void JournalSink::on_event(const Event& event) {
-  if (accepts(event.kind)) events_.push_back(event);
 }
 
 // ---------------------------------------------------------------------------
@@ -295,7 +232,7 @@ void JsonlFileSink::flush() {
   impl_->out.clear();
 }
 
-void JsonlFileSink::on_event(const Event& event) {
+void JsonlFileSink::write(const Event& event) {
   bool wrote = false;
   try {
     DSLAYER_FAILPOINT("telemetry.jsonl_write");
@@ -326,25 +263,9 @@ void JsonlFileSink::on_event(const Event& event) {
 // Telemetry
 // ---------------------------------------------------------------------------
 
-Telemetry::Telemetry(std::size_t ring_capacity) : ring_(ring_capacity) {}
-
-std::uint64_t Telemetry::emit(EventKind kind, std::string subject, std::string detail,
-                              double duration_us) {
-  Event event;
-  event.seq = ++seq_;
-  event.kind = kind;
-  event.subject = std::move(subject);
-  event.detail = std::move(detail);
-  event.duration_us = duration_us;
-  counts_[static_cast<std::size_t>(kind)].add(1);
-  ring_.on_event(event);
-  for (const auto& sink : sinks_) sink->on_event(event);
-  return event.seq;
-}
-
 void Telemetry::record_timing(const std::string& query_kind, double duration_us) {
   histograms_[query_kind].record(duration_us);
-  emit(EventKind::kQueryTimed, query_kind, {}, duration_us);
+  count(EventKind::kQueryTimed);
 }
 
 std::map<std::string, TimingSummary> Telemetry::timings() const {
@@ -373,11 +294,6 @@ std::map<std::string, HistogramSnapshot> Telemetry::histogram_snapshots() const 
     out[name] = snapshot;
   }
   return out;
-}
-
-void Telemetry::add_sink(std::shared_ptr<EventSink> sink) {
-  DSLAYER_REQUIRE(sink != nullptr, "telemetry sink must not be null");
-  sinks_.push_back(std::move(sink));
 }
 
 void Telemetry::reset_counters() {

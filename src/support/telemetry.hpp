@@ -1,23 +1,19 @@
-// Structured exploration telemetry: typed events, pluggable sinks, timers.
+// Exploration telemetry: typed events, per-kind counters, timers.
 //
 // The paper's interactive loop (Section 5) is a dialogue of decisions,
-// eliminations, and re-assessments. This module turns that dialogue into a
-// first-class, queryable record instead of a flat string log:
+// eliminations, and re-assessments. This module gives that dialogue a
+// typed vocabulary and makes its cost countable:
 //
-//   * Event — a typed record (kind, monotonic sequence number, subject,
-//     detail, optional duration) of one step of an exploration or one
-//     query-layer action;
-//   * EventSink — pluggable observers. RingBufferSink keeps the last N
-//     events in memory (the shell's `trace` view); JsonlFileSink streams
-//     every event as one JSON line to a file; JournalSink keeps an
-//     unbounded, kind-filtered journal (the record/replay substrate);
-//   * Telemetry — the per-object hub: assigns sequence numbers, fans
-//     events out to sinks, keeps aggregate per-kind counters for
-//     high-frequency kinds that are counted but not materialized
-//     (ConstraintEvaluated, ComplianceCheck on the hot candidate scan),
-//     and owns per-query-kind latency histograms;
-//   * ScopedTimer — RAII wall-clock probe feeding a named histogram and
-//     emitting a QueryTimed event on scope exit.
+//   * Event — a typed record (kind, sequence number, subject, detail) of
+//     one step of an exploration. The only place events are kept is the
+//     session's replay journal (dsl::ExplorationSession::journal()), which
+//     holds the state-mutating kinds numbered 1..n;
+//   * JsonlFileSink — writes events as JSON lines to a file (the shell's
+//     `trace export`);
+//   * Telemetry — the per-object hub: aggregate per-kind counters (every
+//     kind, including the observational ones that are never stored as
+//     events) and per-query-kind latency histograms;
+//   * ScopedTimer — RAII wall-clock probe feeding a named histogram.
 //
 // Layering: this is a support module — it knows nothing about CDOs,
 // sessions, or values. The dsl layer encodes its payloads into the
@@ -26,12 +22,12 @@
 // Threading model (audited for the concurrent exploration service,
 // DESIGN.md §9): count()/count_of() are thread-safe (relaxed atomics) —
 // they are the only telemetry operations the layer-side query hot paths
-// perform under the service's SHARED reader lock. Everything else
-// (emit(), record_timing(), sinks, histograms, the sequence counter)
-// requires external synchronization: session hubs are guarded by the
-// service's per-session lock, and the shared layer's hub only emits or
-// times on exclusive-epoch paths (index_cores, first-touch index builds —
-// both pre-warmed by service::SharedLayer::prime()).
+// perform under the service's SHARED reader lock. record_timing() and the
+// histogram reads require external synchronization: session hubs are
+// guarded by the service's per-session lock, the executor's hub by its
+// telemetry lock, and the shared layer's hub only times on exclusive-epoch
+// paths (index_cores, first-touch index builds — both pre-warmed by
+// service::SharedLayer::prime()).
 #pragma once
 
 #include <array>
@@ -42,7 +38,6 @@
 #include <optional>
 #include <string>
 #include <string_view>
-#include <vector>
 
 #include "support/relaxed_counter.hpp"
 
@@ -56,14 +51,14 @@ enum class EventKind : std::uint8_t {
   kDecision,             ///< subject = issue, detail = encoded value
   kRetract,              ///< subject = property
   kReaffirm,             ///< subject = property
-  kOptionEliminated,     ///< subject = issue, detail = option + constraint id
-  kReassessmentFlagged,  ///< subject = property, detail = constraint id
+  kOptionEliminated,     ///< counted only — an option vetoed by a constraint
+  kReassessmentFlagged,  ///< counted only — a decided property flagged
   kConstraintEvaluated,  ///< counted only (hot path) — predicate violated() calls
   kComplianceCheck,      ///< counted only (hot path) — cores run through the filter
-  kCacheHit,             ///< subject = which memoized query answered
-  kCacheMiss,            ///< subject = which memoized query recomputed
-  kIndexRebuild,         ///< subject = which index was (re)built
-  kQueryTimed,           ///< subject = query kind, duration_us = wall time
+  kCacheHit,             ///< counted only — a memoized query answered
+  kCacheMiss,            ///< counted only — a memoized query recomputed
+  kIndexRebuild,         ///< counted only — the subtree core index was (re)built
+  kQueryTimed,           ///< counted only — one per record_timing() sample
   kOverlayWrite,         ///< counted only (hot path) — per-core binding-overlay map writes
   kPrefilterSkip,        ///< counted only (hot path) — rows a declared prefilter spared the lambda
 };
@@ -76,14 +71,13 @@ const char* to_string(EventKind kind);
 /// Inverse of to_string; nullopt for unknown names.
 std::optional<EventKind> parse_event_kind(std::string_view name);
 
-/// One telemetry record. `seq` is monotonic per Telemetry hub, so a
-/// journal's order is reconstructible even after sink-side filtering.
+/// One journal record. `seq` numbers a session's journal 1..n, so a
+/// replayed journal reproduces the original byte for byte.
 struct Event {
   std::uint64_t seq = 0;
   EventKind kind = EventKind::kSessionOpened;
   std::string subject;
   std::string detail;
-  double duration_us = 0.0;
 
   friend bool operator==(const Event&, const Event&) = default;
 };
@@ -93,65 +87,15 @@ struct Event {
 std::string json_escape(std::string_view s);
 
 /// Renders one event as a single JSON line (no trailing newline):
-/// {"seq":3,"kind":"Decision","subject":"Algorithm","detail":"txt:Montgomery","us":0}
+/// {"seq":3,"kind":"Decision","subject":"Algorithm","detail":"txt:Montgomery"}
 std::string to_jsonl(const Event& event);
 
-/// Parses a line produced by to_jsonl (tolerant of key order and extra
-/// whitespace). nullopt on malformed input or unknown kind.
+/// Parses a line produced by to_jsonl (tolerant of key order, extra
+/// whitespace, and unknown string- or number-valued keys such as the
+/// retired "us" duration). nullopt on malformed input or unknown kind.
 std::optional<Event> parse_event_jsonl(std::string_view line);
 
-/// Observer interface; implementations must tolerate high event rates.
-class EventSink {
- public:
-  virtual ~EventSink() = default;
-  virtual void on_event(const Event& event) = 0;
-};
-
-/// Bounded in-memory sink: keeps the most recent `capacity` events,
-/// counting (not failing on) overflow.
-class RingBufferSink final : public EventSink {
- public:
-  explicit RingBufferSink(std::size_t capacity = 4096);
-
-  void on_event(const Event& event) override;
-
-  /// Oldest-first copy of the retained events.
-  std::vector<Event> snapshot() const;
-
-  std::size_t capacity() const { return capacity_; }
-  std::uint64_t total_seen() const { return total_; }
-  /// Events evicted by overflow (total_seen - retained).
-  std::uint64_t dropped() const;
-  void clear();
-
- private:
-  std::size_t capacity_;
-  std::vector<Event> buffer_;  // ring once full; next_ is the write head
-  std::size_t next_ = 0;
-  std::uint64_t total_ = 0;
-};
-
-/// Unbounded in-memory sink retaining only the listed kinds (all kinds
-/// when the filter is empty). The session's replay journal is one of
-/// these over the state-mutating kinds.
-class JournalSink final : public EventSink {
- public:
-  JournalSink() = default;
-  explicit JournalSink(std::initializer_list<EventKind> kinds);
-
-  void on_event(const Event& event) override;
-
-  const std::vector<Event>& events() const { return events_; }
-  bool accepts(EventKind kind) const;
-  void clear() { events_.clear(); }
-
- private:
-  std::array<bool, kEventKindCount> accept_{};
-  bool filtered_ = false;
-  std::vector<Event> events_;
-};
-
-/// Streams every event as one JSON line. `flush_every` bounds how much a
+/// Writes events as JSON lines to a file. `flush_every` bounds how much a
 /// crash can silently lose: the sink flushes after every Nth event (the
 /// default 1 flushes per event — journals survive crashes at stream
 /// cost; a larger N amortizes the flush for high-rate streams, capping
@@ -163,12 +107,12 @@ class JournalSink final : public EventSink {
 /// one-shot stderr warning, and the sink keeps trying (the stream error
 /// state is cleared so a recovered disk resumes the journal). The
 /// "telemetry.jsonl_write" failpoint simulates a failing device.
-class JsonlFileSink final : public EventSink {
+class JsonlFileSink {
  public:
   explicit JsonlFileSink(const std::string& path, std::size_t flush_every = 1);
-  ~JsonlFileSink() override;
+  ~JsonlFileSink();
 
-  void on_event(const Event& event) override;
+  void write(const Event& event);
 
   /// Pushes everything buffered to the file now (crash-adjacent callers
   /// — signal handlers excepted — use this before risky sections).
@@ -228,33 +172,24 @@ struct TimingSummary {
   double total_us = 0.0;
 };
 
-/// The hub: sequence numbers, sinks, counters, histograms. One per
-/// instrumented object (DesignSpaceLayer, ExplorationSession).
+/// The hub: per-kind counters and latency histograms. One per
+/// instrumented object (DesignSpaceLayer, ExplorationSession,
+/// service::RequestExecutor).
 class Telemetry {
  public:
-  explicit Telemetry(std::size_t ring_capacity = 4096);
-
-  /// Materializes an event: assigns the next sequence number, bumps the
-  /// per-kind counter, and fans out to the ring buffer and every added
-  /// sink. Returns the assigned sequence number.
-  std::uint64_t emit(EventKind kind, std::string subject = {}, std::string detail = {},
-                     double duration_us = 0.0);
-
-  /// Counter-only fast path for high-frequency kinds: no Event is
-  /// allocated and sinks are not notified. Thread-safe (relaxed atomic) —
+  /// Bumps the counter of `kind`. Thread-safe (relaxed atomic) —
   /// shared-layer hot paths bump these concurrently under a reader lock.
   void count(EventKind kind, std::uint64_t n = 1) {
     counts_[static_cast<std::size_t>(kind)].add(n);
   }
 
-  /// Total occurrences of `kind`, through either emit() or count().
-  /// Thread-safe snapshot read.
+  /// Total occurrences of `kind`. Thread-safe snapshot read.
   std::uint64_t count_of(EventKind kind) const {
     return counts_[static_cast<std::size_t>(kind)].get();
   }
 
-  /// Records one latency sample into the named histogram and emits a
-  /// QueryTimed event.
+  /// Records one latency sample into the named histogram and counts a
+  /// QueryTimed.
   void record_timing(const std::string& query_kind, double duration_us);
 
   /// Snapshot of every named histogram.
@@ -265,16 +200,7 @@ class Telemetry {
   /// timings().
   std::map<std::string, HistogramSnapshot> histogram_snapshots() const;
 
-  /// The built-in bounded recent-events view.
-  RingBufferSink& ring() { return ring_; }
-  const RingBufferSink& ring() const { return ring_; }
-
-  /// Attaches an additional sink (journal, JSONL file, test probe...).
-  void add_sink(std::shared_ptr<EventSink> sink);
-
-  /// Zeroes counters and histograms. The ring buffer and attached sinks
-  /// keep their contents (resetting stats must not erase the trace); the
-  /// sequence counter is never reset so event ids stay unique.
+  /// Zeroes counters and histograms.
   void reset_counters();
 
  private:
@@ -290,10 +216,7 @@ class Telemetry {
     double quantile_us(double q) const;  ///< bucket upper bound at quantile q
   };
 
-  std::uint64_t seq_ = 0;
   std::array<RelaxedCounter, kEventKindCount> counts_{};
-  RingBufferSink ring_;
-  std::vector<std::shared_ptr<EventSink>> sinks_;
   std::map<std::string, Histogram> histograms_;
 };
 

@@ -337,6 +337,31 @@ TEST(Session, TraceRecordsNarrative) {
   EXPECT_NE(report.find("Candidate cores"), std::string::npos);
 }
 
+TEST(Session, CopiedSessionKeepsItsOwnJournal) {
+  auto layer = rich_layer();
+  ExplorationSession base(*layer, "Block");
+  base.set_requirement("Size", 64.0);
+  ExplorationSession trial = base;
+  trial.decide("Style", "HW");
+  EXPECT_EQ(base.journal().size(), 2u);
+  EXPECT_EQ(trial.journal().size(), 3u);
+  // Replaying the original lands where the original is, not where the
+  // copy went.
+  const ExplorationSession replayed = ExplorationSession::replay(*layer, base.export_journal());
+  EXPECT_EQ(replayed.current().path(), "Block");
+  EXPECT_EQ(replayed.export_journal(), base.export_journal());
+}
+
+TEST(Session, JournalReplaysNumbersBitExactly) {
+  auto layer = rich_layer();
+  ExplorationSession s(*layer, "Block");
+  const double budget = 0.1 + 0.2;  // classic non-representable sum
+  s.set_requirement("Budget", budget);
+  const ExplorationSession replayed = ExplorationSession::replay(*layer, s.export_journal());
+  ASSERT_TRUE(replayed.value_of("Budget").has_value());
+  EXPECT_EQ(replayed.value_of("Budget")->as_number(), budget);  // bit-exact, not near
+}
+
 TEST(Session, BindingsIncludeDefaults) {
   auto layer = std::make_unique<DesignSpaceLayer>("d");
   Cdo& root = layer->space().add_root("R");

@@ -155,36 +155,48 @@ TEST_F(ShellTest, DocAndTraceAndComments) {
 }
 
 TEST_F(ShellTest, TraceFiltersByKindGroup) {
+  // `trace` shows the journal: the decisions, numbered 1..n, and none of
+  // the query-layer kinds, which are counted only.
   const ShellRun r = run(*layer_,
                          "open Operator.Modular.Multiplier\n"
                          "req EffectiveOperandLength 768\n"
                          "decide ImplementationStyle Hardware\n"
-                         "trace decisions\n");
+                         "candidates\n"
+                         "trace\n");
   EXPECT_EQ(r.failures, 0) << r.output;
-  EXPECT_NE(r.output.find("Decision ImplementationStyle txt:Hardware"), std::string::npos);
-  EXPECT_NE(r.output.find("RequirementSet EffectiveOperandLength"), std::string::npos);
-  // Query-layer noise is filtered out of the decision view.
+  EXPECT_NE(r.output.find("#2 RequirementSet EffectiveOperandLength num:768"),
+            std::string::npos);
+  EXPECT_NE(r.output.find("#3 Decision ImplementationStyle txt:Hardware"), std::string::npos);
   EXPECT_EQ(r.output.find("CacheMiss"), std::string::npos);
+  EXPECT_EQ(r.output.find("QueryTimed"), std::string::npos);
 
+  // The cache traffic shows up in the `stats` counters instead.
   const ShellRun c = run(*layer_,
                          "open Operator.Modular.Multiplier\n"
+                         "stats\n"
                          "candidates\n"
                          "candidates\n"
-                         "trace cache\n");
+                         "stats\n");
   EXPECT_EQ(c.failures, 0) << c.output;
-  EXPECT_NE(c.output.find("CacheMiss candidates"), std::string::npos);
-  EXPECT_NE(c.output.find("CacheHit candidates"), std::string::npos);
-  EXPECT_EQ(c.output.find("SessionOpened"), std::string::npos);
+  // `open` fills both memos (bindings, candidates); each repeat is a hit.
+  EXPECT_NE(c.output.find("session: constraint evaluations: 56  compliance checks: 56  "
+                          "cache hits: 0  cache misses: 2"),
+            std::string::npos)
+      << c.output;
+  EXPECT_NE(c.output.find("session: constraint evaluations: 56  compliance checks: 56  "
+                          "cache hits: 2  cache misses: 2"),
+            std::string::npos)
+      << c.output;
 }
 
 TEST_F(ShellTest, TraceExactKindFilterAndBadFilter) {
+  // Only `trace` and `trace legacy` render; kind filters are gone.
   const ShellRun r = run(*layer_,
                          "open Operator.Modular.Multiplier\n"
-                         "candidates\n"
                          "trace QueryTimed\n"
                          "trace bogus-filter\n");
-  EXPECT_EQ(r.failures, 1);
-  EXPECT_NE(r.output.find("QueryTimed candidates"), std::string::npos);
+  EXPECT_EQ(r.failures, 2);
+  EXPECT_NE(r.output.find("unknown trace filter 'QueryTimed'"), std::string::npos);
   EXPECT_NE(r.output.find("unknown trace filter 'bogus-filter'"), std::string::npos);
 }
 

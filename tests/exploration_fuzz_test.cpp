@@ -148,6 +148,7 @@ TEST_P(ExplorationFuzz, RandomWalkPreservesInvariants) {
   EXPECT_EQ(replayed.report(), s.report());
   EXPECT_EQ(replayed.candidates(), s.candidates());
   EXPECT_EQ(replayed.current().path(), s.current().path());
+  EXPECT_EQ(replayed.export_journal(), journal);
 }
 
 INSTANTIATE_TEST_SUITE_P(Walks, ExplorationFuzz,
@@ -187,6 +188,7 @@ TEST(ExplorationFuzz, TechnologyFirstHierarchyWalk) {
   const ExplorationSession replayed = ExplorationSession::replay(*layer, s.export_journal());
   EXPECT_EQ(replayed.report(), s.report());
   EXPECT_EQ(replayed.candidates(), s.candidates());
+  EXPECT_EQ(replayed.export_journal(), s.export_journal());
 }
 
 }  // namespace

@@ -1,7 +1,6 @@
-// Unit tests for the structured telemetry substrate (support/telemetry):
-// event-kind naming, JSONL round-trips, sink behavior (ring buffer,
-// filtered journal, JSONL file), aggregate counters, latency histograms,
-// and the RAII timer.
+// Unit tests for the telemetry substrate (support/telemetry): event-kind
+// naming, JSONL round-trips, the JSONL file sink, per-kind counters,
+// latency histograms, and the RAII timer.
 
 #include <gtest/gtest.h>
 
@@ -35,7 +34,6 @@ TEST(Jsonl, RoundTripsEveryField) {
   event.kind = EventKind::kDecision;
   event.subject = "Algorithm";
   event.detail = "txt:Montgomery";
-  event.duration_us = 12.625;
   const auto parsed = parse_event_jsonl(to_jsonl(event));
   ASSERT_TRUE(parsed.has_value());
   EXPECT_EQ(*parsed, event);
@@ -54,15 +52,6 @@ TEST(Jsonl, RoundTripsEscapesAndControlCharacters) {
   EXPECT_EQ(*parsed, event);
 }
 
-TEST(Jsonl, RoundTripsDoublesExactly) {
-  Event event;
-  event.kind = EventKind::kQueryTimed;
-  event.duration_us = 0.1 + 0.2;  // classic non-representable sum
-  const auto parsed = parse_event_jsonl(to_jsonl(event));
-  ASSERT_TRUE(parsed.has_value());
-  EXPECT_EQ(parsed->duration_us, event.duration_us);  // bit-exact, not near
-}
-
 TEST(Jsonl, ToleratesReorderedAndUnknownKeys) {
   const auto parsed = parse_event_jsonl(
       R"(  {"detail":"d","kind":"Retract","extra":"ignored","n":7,"subject":"Radix","seq":3}  )");
@@ -71,6 +60,15 @@ TEST(Jsonl, ToleratesReorderedAndUnknownKeys) {
   EXPECT_EQ(parsed->subject, "Radix");
   EXPECT_EQ(parsed->detail, "d");
   EXPECT_EQ(parsed->seq, 3u);
+
+  // Journals written before the duration field was retired still parse.
+  const auto legacy = parse_event_jsonl(
+      R"({"seq":2,"kind":"Decision","subject":"Algorithm","detail":"txt:Montgomery","us":0})");
+  ASSERT_TRUE(legacy.has_value());
+  EXPECT_EQ(legacy->kind, EventKind::kDecision);
+  EXPECT_EQ(legacy->subject, "Algorithm");
+  EXPECT_EQ(legacy->detail, "txt:Montgomery");
+  EXPECT_EQ(legacy->seq, 2u);
 }
 
 TEST(Jsonl, RejectsMalformedLines) {
@@ -82,42 +80,6 @@ TEST(Jsonl, RejectsMalformedLines) {
   }
 }
 
-TEST(RingBufferSink, KeepsTheMostRecentEvents) {
-  RingBufferSink ring(4);
-  for (std::uint64_t i = 1; i <= 10; ++i) {
-    Event event;
-    event.seq = i;
-    event.kind = EventKind::kCacheHit;
-    ring.on_event(event);
-  }
-  EXPECT_EQ(ring.total_seen(), 10u);
-  EXPECT_EQ(ring.dropped(), 6u);
-  const auto snapshot = ring.snapshot();
-  ASSERT_EQ(snapshot.size(), 4u);
-  for (std::size_t i = 0; i < 4; ++i) EXPECT_EQ(snapshot[i].seq, 7 + i);  // oldest first
-  ring.clear();
-  EXPECT_EQ(ring.total_seen(), 0u);
-  EXPECT_TRUE(ring.snapshot().empty());
-}
-
-TEST(JournalSink, FiltersByKind) {
-  JournalSink journal{EventKind::kDecision, EventKind::kRetract};
-  EXPECT_TRUE(journal.accepts(EventKind::kDecision));
-  EXPECT_FALSE(journal.accepts(EventKind::kCacheHit));
-  for (const EventKind kind :
-       {EventKind::kDecision, EventKind::kCacheHit, EventKind::kRetract}) {
-    Event event;
-    event.kind = kind;
-    journal.on_event(event);
-  }
-  ASSERT_EQ(journal.events().size(), 2u);
-  EXPECT_EQ(journal.events()[0].kind, EventKind::kDecision);
-  EXPECT_EQ(journal.events()[1].kind, EventKind::kRetract);
-
-  JournalSink unfiltered;
-  EXPECT_TRUE(unfiltered.accepts(EventKind::kCacheHit));
-}
-
 TEST(JsonlFileSink, WritesParseableLinesAndRejectsBadPaths) {
   const std::string path = testing::TempDir() + "/telemetry_sink_test.jsonl";
   {
@@ -126,7 +88,7 @@ TEST(JsonlFileSink, WritesParseableLinesAndRejectsBadPaths) {
     event.seq = 5;
     event.kind = EventKind::kSessionOpened;
     event.subject = "Operator.Modular.Multiplier";
-    sink.on_event(event);
+    sink.write(event);
   }
   std::ifstream in(path);
   std::string line;
@@ -158,7 +120,7 @@ TEST(JsonlFileSink, CountsInjectedWriteFailuresAndResumesAfterRecovery) {
     event.seq = seq;
     event.kind = EventKind::kSessionOpened;
     event.subject = "Operator.Modular.Multiplier";
-    sink.on_event(event);
+    sink.write(event);
   }
   // Events 1 and 2 hit the injected fault: dropped but counted. The
   // point self-disarmed after two fires, so 3 and 4 reach the file —
@@ -189,7 +151,7 @@ TEST(JsonlFileSink, FlushEveryBatchesAndExplicitFlushDrains) {
       Event event;
       event.seq = seq;
       event.kind = EventKind::kSessionOpened;
-      sink.on_event(event);
+      sink.write(event);
     };
     const auto lines_on_disk = [&path]() {
       std::ifstream in(path);
@@ -224,17 +186,18 @@ TEST(JsonlFileSink, FlushEveryBatchesAndExplicitFlushDrains) {
   std::remove(path.c_str());
 }
 
-TEST(TelemetryHub, EmitAssignsMonotonicSeqAndFansOut) {
+TEST(TelemetryHub, CountsEachKindSeparately) {
   Telemetry hub;
-  auto probe = std::make_shared<JournalSink>();
-  hub.add_sink(probe);
-  const auto s1 = hub.emit(EventKind::kSessionOpened, "Root");
-  const auto s2 = hub.emit(EventKind::kDecision, "Algorithm", "txt:Montgomery");
-  EXPECT_LT(s1, s2);
-  ASSERT_EQ(probe->events().size(), 2u);
-  EXPECT_EQ(probe->events()[1].detail, "txt:Montgomery");
-  EXPECT_EQ(hub.ring().snapshot().size(), 2u);
-  EXPECT_EQ(hub.count_of(EventKind::kDecision), 1u);
+  hub.count(EventKind::kSessionOpened);
+  hub.count(EventKind::kDecision);
+  hub.count(EventKind::kDecision);
+  EXPECT_EQ(hub.count_of(EventKind::kSessionOpened), 1u);
+  EXPECT_EQ(hub.count_of(EventKind::kDecision), 2u);
+  EXPECT_EQ(hub.count_of(EventKind::kRetract), 0u);
+  // A timing sample feeds its histogram and the QueryTimed counter.
+  hub.record_timing("candidates", 10.0);
+  EXPECT_EQ(hub.count_of(EventKind::kQueryTimed), 1u);
+  EXPECT_EQ(hub.timings().at("candidates").count, 1u);
 }
 
 TEST(TelemetryHub, CountIsAggregateOnly) {
@@ -242,20 +205,21 @@ TEST(TelemetryHub, CountIsAggregateOnly) {
   hub.count(EventKind::kConstraintEvaluated, 7);
   hub.count(EventKind::kConstraintEvaluated);
   EXPECT_EQ(hub.count_of(EventKind::kConstraintEvaluated), 8u);
-  EXPECT_TRUE(hub.ring().snapshot().empty());  // no events materialized
+  EXPECT_TRUE(hub.timings().empty());  // counting records no timing
 }
 
-TEST(TelemetryHub, ResetCountersKeepsTheTrace) {
+TEST(TelemetryHub, ResetCountersZeroesCountersAndHistograms) {
   Telemetry hub;
-  hub.emit(EventKind::kDecision, "X");
+  hub.count(EventKind::kDecision);
   hub.record_timing("candidates", 10.0);
   hub.reset_counters();
   EXPECT_EQ(hub.count_of(EventKind::kDecision), 0u);
+  EXPECT_EQ(hub.count_of(EventKind::kQueryTimed), 0u);
   EXPECT_TRUE(hub.timings().empty());
-  EXPECT_EQ(hub.ring().snapshot().size(), 2u);  // Decision + QueryTimed survive
-  // The sequence counter never rewinds: new events keep unique ids.
-  const Event last = hub.ring().snapshot().back();
-  EXPECT_GT(hub.emit(EventKind::kRetract, "X"), last.seq);
+  EXPECT_TRUE(hub.histogram_snapshots().empty());
+  // Counting resumes from zero.
+  hub.count(EventKind::kDecision);
+  EXPECT_EQ(hub.count_of(EventKind::kDecision), 1u);
 }
 
 // Pins the histogram bucket convention: bucket i covers [2^i, 2^(i+1))
