@@ -27,12 +27,32 @@
 // The JSON also carries the columnar table's
 // bytes_per_core so the memory footprint regresses as loudly as time
 // (scripts/check_bench_counters.py gates it with a {"max": ...} bound).
+//
+// Aggregates: the what-if queries over the declarative scenario's
+// survivors (DESIGN.md §14) — metric_range(area), option_ranges on a
+// regular issue (LoopMultiplier, grouped by its text column) and on a
+// generalized issue (Algorithm, partitioned by subtree row ranges), each
+// timed over repeated calls on one session whose survivor mask is already
+// memoized. Their deterministic counters (rows visited, survivors, the
+// count behind every range) are gated like the sweep counters, and each
+// answer is cross-checked against a plain fold over candidates() and
+// Core::metric().
+//
+// The JSON's "machine" object stamps the run: hardware threads, the
+// active word-kernel ISA, the build type and the git revision.
 
+#include <algorithm>
+#include <bit>
 #include <chrono>
+#include <cstdio>
 #include <cstdlib>
 #include <fstream>
 #include <iostream>
+#include <map>
+#include <optional>
 #include <string>
+#include <thread>
+#include <unordered_set>
 #include <vector>
 
 #include "domains/crypto.hpp"
@@ -189,6 +209,165 @@ ScenarioResult run_scenario(const dsl::DesignSpaceLayer& layer, Script script,
   return r;
 }
 
+// ---------------------------------------------------------------------------
+// Aggregates: what-if folds over a memoized survivor mask.
+
+using MetricRange = dsl::ExplorationSession::MetricRange;
+
+struct AggregatePhase {
+  std::string issue;  ///< empty for metric_range
+  std::string metric;
+  int repeats = 0;
+  double per_query_ms = 0.0;
+  std::map<std::string, std::size_t> counts;  ///< option (metric_range: the metric) -> count
+};
+
+struct AggregateResult {
+  std::string scope;
+  std::size_t rows_visited = 0;  ///< plan rows each fold walks the mask over
+  std::size_t survivors = 0;
+  bool identical = false;  ///< every answer == the plain Core* fold
+  AggregatePhase range;
+  AggregatePhase ranges_regular;
+  AggregatePhase ranges_generalized;
+};
+
+template <typename Fn>
+double per_call_ms(const Fn& fn) {
+  const auto start = std::chrono::steady_clock::now();
+  for (int i = 0; i < kRepeats; ++i) fn();
+  return std::chrono::duration<double, std::milli>(std::chrono::steady_clock::now() - start)
+             .count() /
+         kRepeats;
+}
+
+bool same_range(const MetricRange& a, const MetricRange& b) {
+  return std::bit_cast<std::uint64_t>(a.min) == std::bit_cast<std::uint64_t>(b.min) &&
+         std::bit_cast<std::uint64_t>(a.max) == std::bit_cast<std::uint64_t>(b.max) &&
+         a.count == b.count;
+}
+
+/// The plain what-if fold the columnar one must reproduce: every candidate,
+/// in order, whose option `keep` accepts, folded with std::min / std::max.
+template <typename Keep>
+MetricRange plain_fold(const std::vector<const dsl::Core*>& cores, const std::string& metric,
+                       const Keep& keep) {
+  MetricRange range;
+  for (const dsl::Core* core : cores) {
+    const auto v = core->metric(metric);
+    if (!v.has_value() || !keep(*core)) continue;
+    range.min = range.count == 0 ? *v : std::min(range.min, *v);
+    range.max = range.count == 0 ? *v : std::max(range.max, *v);
+    ++range.count;
+  }
+  return range;
+}
+
+AggregateResult run_aggregates(const dsl::DesignSpaceLayer& layer) {
+  AggregateResult r;
+  dsl::ExplorationSession s(layer, kPathOMM);
+  script_declarative(s);
+  r.scope = s.current().path();
+  r.rows_visited = layer.filter_plan(s.current()).table.rows();
+  r.survivors = s.candidate_count();  // the one sweep; every query below reuses its mask
+
+  std::optional<MetricRange> range;
+  r.range.metric = kMetricArea;
+  r.range.repeats = kRepeats;
+  r.range.per_query_ms = per_call_ms([&] { range = s.metric_range(kMetricArea); });
+  r.range.counts[kMetricArea] = range.has_value() ? range->count : 0;
+
+  std::map<std::string, MetricRange> regular;
+  r.ranges_regular.issue = kLoopMultiplier;
+  r.ranges_regular.metric = kMetricClockNs;
+  r.ranges_regular.repeats = kRepeats;
+  r.ranges_regular.per_query_ms =
+      per_call_ms([&] { regular = s.option_ranges(kLoopMultiplier, kMetricClockNs); });
+  for (const auto& [option, got] : regular) r.ranges_regular.counts[option] = got.count;
+
+  std::map<std::string, MetricRange> generalized;
+  r.ranges_generalized.issue = kAlgorithm;
+  r.ranges_generalized.metric = kMetricArea;
+  r.ranges_generalized.repeats = kRepeats;
+  r.ranges_generalized.per_query_ms =
+      per_call_ms([&] { generalized = s.option_ranges(kAlgorithm, kMetricArea); });
+  for (const auto& [option, got] : generalized) r.ranges_generalized.counts[option] = got.count;
+
+  // Cross-check (untimed) against plain folds over the Core* rows.
+  const std::vector<const dsl::Core*>& cores = s.candidates();
+  const MetricRange all = plain_fold(cores, kMetricArea, [](const dsl::Core&) { return true; });
+  const auto agree = [&](const std::map<std::string, MetricRange>& got, const std::string& issue,
+                         const std::string& metric, const auto& keeps) {
+    std::size_t expected = 0;
+    for (const std::string& option : s.available_options(issue)) {
+      const MetricRange want =
+          plain_fold(cores, metric, [&](const dsl::Core& core) { return keeps(option, core); });
+      if (want.count == 0) continue;
+      ++expected;
+      if (!got.contains(option) || !same_range(got.at(option), want)) return false;
+    }
+    return got.size() == expected;
+  };
+  std::map<std::string, std::unordered_set<const dsl::Core*>> regions;
+  for (const dsl::Cdo* child : s.current().children()) {
+    const auto& under = layer.cores_under(*child);
+    regions[child->specializing_option()].insert(under.begin(), under.end());
+  }
+  r.identical =
+      (range.has_value() ? same_range(*range, all) : all.count == 0) &&
+      agree(regular, kLoopMultiplier, kMetricClockNs,
+            [](const std::string& option, const dsl::Core& core) {
+              return core.binding(kLoopMultiplier) == dsl::Value::text(option);
+            }) &&
+      agree(generalized, kAlgorithm, kMetricArea,
+            [&](const std::string& option, const dsl::Core& core) {
+              return regions[option].contains(&core);
+            });
+  return r;
+}
+
+void print_aggregate(const char* name, const AggregatePhase& p) {
+  std::cout << "  " << name << ": " << format_double(p.per_query_ms, 4) << " ms/query (x"
+            << p.repeats << ")  counts:";
+  for (const auto& [option, count] : p.counts) std::cout << " " << option << "=" << count;
+  std::cout << "\n";
+}
+
+void json_aggregate(std::ostream& out, const char* name, const AggregatePhase& p) {
+  out << "    \"" << name << "\": {\n";
+  if (!p.issue.empty()) out << "      \"issue\": \"" << p.issue << "\",\n";
+  out << "      \"metric\": \"" << p.metric << "\",\n"
+      << "      \"repeats\": " << p.repeats << ",\n"
+      << "      \"per_query_ms\": " << p.per_query_ms << ",\n";
+  if (p.issue.empty()) {
+    out << "      \"count\": " << p.counts.at(p.metric) << "\n";
+  } else {
+    out << "      \"options\": {";
+    const char* sep = "";
+    for (const auto& [option, count] : p.counts) {
+      out << sep << "\"" << option << "\": " << count;
+      sep = ", ";
+    }
+    out << "}\n";
+  }
+  out << "    }";
+}
+
+/// `git rev-parse` of the source tree the bench was built from, or
+/// "unknown" when git or the checkout is unavailable.
+std::string git_sha() {
+  std::string sha;
+  const char* command =
+      "git -C \"" DSLAYER_SOURCE_DIR "\" rev-parse --short=12 HEAD 2>/dev/null";
+  if (FILE* pipe = ::popen(command, "r")) {
+    char buf[64];
+    while (std::fgets(buf, sizeof(buf), pipe) != nullptr) sha += buf;
+    if (::pclose(pipe) != 0) sha.clear();
+  }
+  while (!sha.empty() && (sha.back() == '\n' || sha.back() == '\r')) sha.pop_back();
+  return sha.empty() ? "unknown" : sha;
+}
+
 void print_phase(const char* name, const PhaseResult& p) {
   std::cout << "  " << name << ": " << format_double(p.per_scan_ms, 4) << " ms/scan (x"
             << p.repeats << ")  (" << p.constraint_evaluations << " constraint evals, "
@@ -290,8 +469,19 @@ int main(int argc, char** argv) {
   std::cout << "columnar table: " << plan.table.rows() << " rows, " << table_bytes << " bytes ("
             << format_double(bytes_per_core, 1) << " bytes/core)\n";
 
+  const AggregateResult aggregates = run_aggregates(*layer);
+  std::cout << "\naggregates over " << aggregates.survivors << " survivors of "
+            << aggregates.rows_visited << " rows at " << aggregates.scope
+            << " (memoized survivor mask):\n";
+  print_aggregate("range area              ", aggregates.range);
+  print_aggregate("ranges LoopMultiplier   ", aggregates.ranges_regular);
+  print_aggregate("ranges Algorithm (gen.) ", aggregates.ranges_generalized);
+  std::cout << "  identical to the plain Core* fold: " << (aggregates.identical ? "yes" : "NO")
+            << "\n";
+
   const bool ok = declarative.identical && declarative.counters_match && custom.identical &&
-                  custom.counters_match && declarative.speedup_simd_vs_scalar >= 2.0 &&
+                  custom.counters_match && aggregates.identical &&
+                  declarative.speedup_simd_vs_scalar >= 2.0 &&
                   custom.speedup_prefilter_vs_simd >= 5.0;
   std::cout << "gates: simd declarative >= 2x scalar: "
             << (declarative.speedup_simd_vs_scalar >= 2.0 ? "PASS" : "FAIL")
@@ -312,10 +502,27 @@ int main(int argc, char** argv) {
         << "  \"kernel\": \"" << simd::to_string(simd::widest_supported()) << "\",\n"
         << "  \"table_rows\": " << plan.table.rows() << ",\n"
         << "  \"table_bytes\": " << table_bytes << ",\n"
-        << "  \"bytes_per_core\": " << bytes_per_core << ",\n";
+        << "  \"bytes_per_core\": " << bytes_per_core << ",\n"
+        << "  \"machine\": {\n"
+        << "    \"cores\": " << std::thread::hardware_concurrency() << ",\n"
+        << "    \"kernel\": \"" << simd::to_string(simd::active_kernel()) << "\",\n"
+        << "    \"build_type\": \"" << DSLAYER_BUILD_TYPE << "\",\n"
+        << "    \"git_sha\": \"" << git_sha() << "\"\n"
+        << "  },\n";
     json_scenario(out, "declarative", declarative);
     out << ",\n";
     json_scenario(out, "custom_filter", custom);
+    out << ",\n  \"aggregates\": {\n"
+        << "    \"scope\": \"" << aggregates.scope << "\",\n"
+        << "    \"rows_visited\": " << aggregates.rows_visited << ",\n"
+        << "    \"survivors\": " << aggregates.survivors << ",\n"
+        << "    \"identical\": " << (aggregates.identical ? "true" : "false") << ",\n";
+    json_aggregate(out, "range", aggregates.range);
+    out << ",\n";
+    json_aggregate(out, "ranges_regular", aggregates.ranges_regular);
+    out << ",\n";
+    json_aggregate(out, "ranges_generalized", aggregates.ranges_generalized);
+    out << "\n  }";
     out << ",\n  \"speedup\": " << declarative.speedup_simd_vs_scalar << "\n}\n";
     std::cout << "wrote " << json_path << "\n";
   }

@@ -18,7 +18,9 @@
 #      recovery path that reads freed or uninitialized memory fails here
 #      rather than corrupting a catalog in production;
 #   6. ThreadSanitizer — the concurrency stress AND chaos tests (tier2) in
-#      a TSan build, gating the exploration service's locking model;
+#      a TSan build, gating the exploration service's locking model, plus
+#      the sweep-memo tests whose reader threads fold one shared filter
+#      plan concurrently;
 #   7. benchmark telemetry — the candidate-filter, Fig. 12, service
 #      throughput, network throughput, and storage cold-start benches emit
 #      machine-readable BENCH_*.json at the repo root for trend tracking,
@@ -76,8 +78,11 @@ cmake -B build-tsan -S . \
   -DDSLAYER_BUILD_EXAMPLES=OFF \
   -DCMAKE_CXX_FLAGS="$TSAN_FLAGS"
 cmake --build build-tsan -j --target service_stress_test service_chaos_test net_chaos_test \
-  exploration_fuzz_test storage_fuzz_test storage_chaos_test
+  exploration_fuzz_test storage_fuzz_test storage_chaos_test dsl_query_cache_test
 (cd build-tsan && ctest -L tier2 --output-on-failure --timeout "$CTEST_TIMEOUT")
+# What-if aggregates: sessions on reader threads share one primed plan and
+# fold its metric columns through their own survivor masks.
+./build-tsan/tests/dsl_query_cache_test
 
 echo "=== [7/7] benchmark telemetry (BENCH_*.json) + counter guard ==="
 ./build/bench/candidate_filter --json BENCH_candidate_filter.json

@@ -654,8 +654,8 @@ void sweep_rows(std::uint64_t* mask, std::size_t words, bool parallel, const Kee
 
 }  // namespace
 
-std::vector<const Core*> run_core_filter(const CoreFilterPlan& plan, const FilterQuery& query,
-                                         telemetry::Telemetry& telemetry) {
+SurvivorMask run_core_filter(const CoreFilterPlan& plan, const FilterQuery& query,
+                             telemetry::Telemetry& telemetry) {
   using telemetry::EventKind;
   // Chaos/deadline hook + the sweep's cancellation point (on the calling
   // thread — ChunkPool workers carry no request deadline).
@@ -675,14 +675,15 @@ std::vector<const Core*> run_core_filter(const CoreFilterPlan& plan, const Filte
   const simd::KernelOps& kops = simd::kernels();
   const std::size_t words = table.words();
 
-  // All per-sweep scratch (survivor mask, resolved terms, prefilter
-  // programs) lives in this thread's bump arena and is released, not
-  // freed, when the sweep returns — steady state touches no allocator.
+  // Per-sweep scratch (resolved terms, prefilter programs) lives in this
+  // thread's bump arena and is released, not freed, when the sweep
+  // returns. The survivor mask is the result, so it is heap-owned.
   support::Arena& arena = support::Arena::scratch();
   support::ArenaScope scratch_scope(arena);
 
-  std::uint64_t* mask = arena.alloc_array<std::uint64_t>(words);
-  std::fill(mask, mask + words, ~std::uint64_t{0});
+  SurvivorMask result;
+  result.words.assign(words, ~std::uint64_t{0});
+  std::uint64_t* mask = result.words.data();
   if ((rows & 63) != 0) mask[words - 1] = (std::uint64_t{1} << (rows & 63)) - 1;  // clip tail
 
   const bool parallel = rows >= columnar_parallel_threshold();
@@ -922,17 +923,72 @@ std::vector<const Core*> run_core_filter(const CoreFilterPlan& plan, const Filte
     }
   }
 
-  std::vector<const Core*> survivors;
-  survivors.reserve(popcount(mask, words));
-  for (std::size_t w = 0; w < words; ++w) {
-    std::uint64_t bits = mask[w];
+  result.count = popcount(mask, words);
+  return result;
+}
+
+// ---------------------------------------------------------------------------
+// What-if aggregates over a survivor mask
+
+MetricRange fold_metric(const Column& metric, const SurvivorMask& mask, std::size_t begin_row,
+                        std::size_t end_row) {
+  MetricRange range;
+  if (begin_row >= end_row || mask.count == 0) return range;
+  const std::uint64_t* present = metric.present.data();
+  const double* numbers = metric.numbers.data();
+  const std::size_t first_word = begin_row >> 6;
+  const std::size_t last_word = (end_row - 1) >> 6;
+  for (std::size_t w = first_word; w <= last_word; ++w) {
+    std::uint64_t bits = mask.words[w] & present[w];
+    if (w == first_word) bits &= ~std::uint64_t{0} << (begin_row & 63);
+    if (w == last_word && (end_row & 63) != 0) bits &= (std::uint64_t{1} << (end_row & 63)) - 1;
+    if (bits == 0) continue;
+    const double* block = numbers + (w << 6);
+    if (range.count == 0) {  // the first value seeds both ends
+      range.min = range.max = block[std::countr_zero(bits)];
+      range.count = 1;
+      bits &= bits - 1;
+    }
+    range.count += static_cast<std::size_t>(std::popcount(bits));
+    double lo = range.min;
+    double hi = range.max;
     while (bits != 0) {
-      const int bit = std::countr_zero(bits);
-      survivors.push_back(table.cores()[(w << 6) + static_cast<std::size_t>(bit)]);
+      const double v = block[std::countr_zero(bits)];
+      lo = v < lo ? v : lo;
+      hi = hi < v ? v : hi;
+      bits &= bits - 1;
+    }
+    range.min = lo;
+    range.max = hi;
+  }
+  return range;
+}
+
+void fold_metric_by_key(const Column& metric, const Column& key, const SurvivorMask& mask,
+                        const std::vector<support::Symbol>& keys,
+                        std::vector<MetricRange>& groups) {
+  groups.assign(keys.size(), MetricRange{});
+  // kText and kMixed columns both carry the interned text of every text
+  // cell in `texts` (kNoSymbol for a mixed column's non-text cells).
+  if (keys.empty() || mask.count == 0 || key.kind == ColumnKind::kNumber) return;
+  const std::uint64_t* metric_present = metric.present.data();
+  const std::uint64_t* key_present = key.present.data();
+  const double* numbers = metric.numbers.data();
+  const support::Symbol* texts = key.texts.data();
+  for (std::size_t w = 0; w < mask.words.size(); ++w) {
+    std::uint64_t bits = mask.words[w] & metric_present[w] & key_present[w];
+    while (bits != 0) {
+      const std::size_t row = (w << 6) + static_cast<std::size_t>(std::countr_zero(bits));
+      const support::Symbol symbol = texts[row];
+      for (std::size_t i = 0; i < keys.size(); ++i) {
+        if (keys[i] == symbol) {
+          groups[i].fold(numbers[row]);
+          break;
+        }
+      }
       bits &= bits - 1;
     }
   }
-  return survivors;
 }
 
 }  // namespace dslayer::dsl

@@ -22,20 +22,22 @@
 //    DesignSpaceLayer::filter_plan() and primed by SharedLayer before
 //    an epoch publishes.
 //  * run_core_filter — evaluates a FilterQuery (the session's decided
-//    issues, requirements, and bindings snapshot) over a plan with a
-//    survivor bitmask, predicate by predicate. Hot predicate shapes
-//    (numeric compare vs constant / column with optional factor, text
-//    symbol equality) run through the runtime-selected SIMD kernel one
-//    64-row word at a time; rows a word kernel cannot decide (absent
-//    column value falling back to a session binding, mixed-kind cells)
-//    are patched through the scalar interpreter, so survivors are
-//    bit-identical to a scalar sweep. Per-sweep scratch (the survivor
-//    mask, resolved terms, prefilter masks) comes from the calling
-//    thread's bump arena (support/arena.hpp) — a steady-state sweep
-//    performs no heap allocation. Tables larger than
-//    columnar_parallel_threshold() split into 64-row-aligned chunks on
-//    support::ChunkPool::shared(); chunks never share a mask word, so
-//    workers write disjoint memory and results are deterministic.
+//    issues, requirements, and bindings snapshot) over a plan into a
+//    survivor bitmask, predicate by predicate. The mask is the answer:
+//    sessions memoize it and fold_metric / fold_metric_by_key compute the
+//    what-if ranges straight from it and the metric columns. Hot
+//    predicate shapes (numeric compare vs constant / column with optional
+//    factor, text symbol equality) run through the runtime-selected SIMD
+//    kernel one 64-row word at a time; rows a word kernel cannot decide
+//    (absent column value falling back to a session binding, mixed-kind
+//    cells) are patched through the scalar interpreter, so survivors are
+//    bit-identical to a scalar sweep. Per-sweep scratch (resolved terms,
+//    prefilter programs) comes from the calling thread's bump arena
+//    (support/arena.hpp); the returned mask is owned by the caller.
+//    Tables larger than columnar_parallel_threshold() split into
+//    64-row-aligned chunks on support::ChunkPool::shared(); chunks never
+//    share a mask word, so workers write disjoint memory and results are
+//    deterministic.
 //    Custom (opaque lambda) filters may carry a PredicateAtom
 //    conjunction prefilter: rows the atoms prove compliant skip the
 //    lambda entirely (counted as kPrefilterSkip); only the residual
@@ -313,12 +315,57 @@ struct FilterQuery {
   std::vector<Custom> custom;               ///< step 2: registered filters
 };
 
-/// Runs the filter; returns surviving cores in table row order
+/// The sweep's answer: one bit per row of the plan's table (64 rows per
+/// word, bits past rows() clear) and the number of bits set. Row r
+/// survives iff bit r is set; table.cores()[r] is its core.
+struct SurvivorMask {
+  std::vector<std::uint64_t> words;
+  std::size_t count = 0;
+};
+
+/// Runs the filter; returns the survivor mask over the plan's table rows
 /// (cores_under() order). Counts kComplianceCheck once per row and
 /// kConstraintEvaluated per (row, predicate) actually reached, exactly
 /// like a per-core loop with early exit.
-std::vector<const Core*> run_core_filter(const CoreFilterPlan& plan, const FilterQuery& query,
-                                         telemetry::Telemetry& telemetry);
+SurvivorMask run_core_filter(const CoreFilterPlan& plan, const FilterQuery& query,
+                             telemetry::Telemetry& telemetry);
+
+/// Min / max / count of one figure of merit over a set of rows, folded in
+/// ascending row order (DESIGN.md §14, the NaN fold rule): the first value
+/// seeds min and max; each later value v replaces min iff v < min and max
+/// iff max < v — std::min / std::max applied row by row. So every present
+/// cell counts, NaN included; a NaN never moves min or max unless it is
+/// the first value, which then sticks to both; on equal values (+0 / -0)
+/// the earlier row's value wins.
+struct MetricRange {
+  double min = 0.0;
+  double max = 0.0;
+  std::size_t count = 0;
+
+  void fold(double v) {
+    if (count == 0) {
+      min = max = v;
+    } else {
+      min = v < min ? v : min;
+      max = max < v ? v : max;
+    }
+    ++count;
+  }
+};
+
+/// Folds the metric column over the rows in [begin_row, end_row) that are
+/// set in `mask` and present in the column.
+MetricRange fold_metric(const CoreTable::Column& metric, const SurvivorMask& mask,
+                        std::size_t begin_row, std::size_t end_row);
+
+/// One grouped pass over `mask`: groups[i] folds the metric column over
+/// the surviving rows whose `key` binding is the text interned as keys[i].
+/// Rows whose binding is absent, not text, or none of the keys fold
+/// nowhere (a kNumber key column folds nothing). `groups` is resized to
+/// keys.size().
+void fold_metric_by_key(const CoreTable::Column& metric, const CoreTable::Column& key,
+                        const SurvivorMask& mask, const std::vector<support::Symbol>& keys,
+                        std::vector<MetricRange>& groups);
 
 /// Row count at and above which run_core_filter fans predicate sweeps
 /// out over support::ChunkPool::shared(). Settable for tests/benches.

@@ -1,9 +1,9 @@
 #include "dsl/exploration.hpp"
 
 #include <algorithm>
+#include <bit>
 #include <cstdio>
 #include <ostream>
-#include <set>
 #include <sstream>
 
 #include "support/error.hpp"
@@ -49,6 +49,12 @@ Value decode_value(const std::string& encoded) {
   if (encoded == "flag:true") return Value::flag(true);
   if (encoded == "flag:false") return Value::flag(false);
   throw ExplorationError(cat("journal value '", encoded, "' has no known kind tag"));
+}
+
+/// The table's metric column for `name`; nullptr when no row reports it.
+const CoreTable::Column* metric_column_named(const CoreTable& table, const std::string& name) {
+  const auto symbol = support::lookup_symbol(name);
+  return symbol.has_value() ? table.metric_column(*symbol) : nullptr;
 }
 
 }  // namespace
@@ -424,20 +430,23 @@ void ExplorationSession::declare_prefilter(const std::string& name,
   touch();  // engine path changed; memoized candidates must recompute
 }
 
-const std::vector<const Core*>& ExplorationSession::candidates() const {
-  if (candidates_generation_ == generation_) {
+const SurvivorMask& ExplorationSession::survivors() const {
+  if (sweep_.generation == generation_ && sweep_.plan_generation == layer_->plan_generation()) {
     telemetry_.count(EventKind::kCacheHit);
-    return candidates_cache_;
+    return sweep_.mask;
   }
   telemetry_.count(EventKind::kCacheMiss);
   telemetry::ScopedTimer timer(&telemetry_, "candidates");
-  candidates_cache_ = compute_candidates();
-  candidates_generation_ = generation_;
-  return candidates_cache_;
+  sweep_.generation = 0;  // a throwing sweep leaves no half-updated memo
+  sweep_.plan = &layer_->filter_plan(*current_);
+  sweep_.mask = compute_survivors();
+  sweep_.rows = {};
+  sweep_.generation = generation_;
+  sweep_.plan_generation = layer_->plan_generation();
+  return sweep_.mask;
 }
 
-std::vector<const Core*> ExplorationSession::compute_candidates() const {
-  const CoreFilterPlan& plan = layer_->filter_plan(*current_);
+SurvivorMask ExplorationSession::compute_survivors() const {
   const Bindings& bound = bindings();
 
   // Translate the session state into a FilterQuery entry by entry:
@@ -482,27 +491,34 @@ std::vector<const Core*> ExplorationSession::compute_candidates() const {
       }
     }
   }
-  return run_core_filter(plan, query, telemetry_);
+  return run_core_filter(*sweep_.plan, query, telemetry_);
 }
+
+const std::vector<const Core*>& ExplorationSession::candidates() const {
+  const SurvivorMask& mask = survivors();
+  if (sweep_.rows.size() != mask.count) {  // the view is built at most once per sweep
+    const std::vector<const Core*>& cores = sweep_.plan->table.cores();
+    sweep_.rows.reserve(mask.count);
+    for (std::size_t w = 0; w < mask.words.size(); ++w) {
+      for (std::uint64_t bits = mask.words[w]; bits != 0; bits &= bits - 1) {
+        sweep_.rows.push_back(cores[(w << 6) + static_cast<std::size_t>(std::countr_zero(bits))]);
+      }
+    }
+  }
+  return sweep_.rows;
+}
+
+std::size_t ExplorationSession::candidate_count() const { return survivors().count; }
 
 std::optional<ExplorationSession::MetricRange> ExplorationSession::metric_range(
     const std::string& metric) const {
   telemetry::ScopedTimer timer(&telemetry_, "metric_range");
-  MetricRange range;
-  bool first = true;
-  for (const Core* core : candidates()) {
-    const auto v = core->metric(metric);
-    if (!v.has_value()) continue;
-    if (first) {
-      range.min = range.max = *v;
-      first = false;
-    } else {
-      range.min = std::min(range.min, *v);
-      range.max = std::max(range.max, *v);
-    }
-    ++range.count;
-  }
-  if (first) return std::nullopt;
+  const SurvivorMask& mask = survivors();
+  const CoreTable& table = sweep_.plan->table;
+  const CoreTable::Column* column = metric_column_named(table, metric);
+  if (column == nullptr) return std::nullopt;
+  const MetricRange range = fold_metric(*column, mask, 0, table.rows());
+  if (range.count == 0) return std::nullopt;
   return range;
 }
 
@@ -513,58 +529,72 @@ std::map<std::string, ExplorationSession::MetricRange> ExplorationSession::optio
                   "option_ranges needs an enumerated design issue");
   telemetry::ScopedTimer timer(&telemetry_, "option_ranges");
 
-  const std::vector<const Core*>& base = candidates();
-  const auto options = available_options(issue);
-  const std::set<std::string> open(options.begin(), options.end());
-
-  const auto fold = [](MetricRange& range, double v) {
-    if (range.count == 0) {
-      range.min = range.max = v;
-    } else {
-      range.min = std::min(range.min, v);
-      range.max = std::max(range.max, v);
-    }
-    ++range.count;
-  };
+  const SurvivorMask& mask = survivors();
+  const std::vector<std::string> options = available_options(issue);
+  const CoreTable& table = sweep_.plan->table;
+  const CoreTable::Column* column = metric_column_named(table, metric);
 
   std::map<std::string, MetricRange> result;
+  if (column == nullptr) return result;  // no candidate can report it
+  const auto is_open = [&options](const std::string& option) {
+    return !option.empty() && std::find(options.begin(), options.end(), option) != options.end();
+  };
+
   if (!p.generalized && !p.filters_cores) {
     // Integration parameters do not filter: every option keeps the full
     // candidate set, so one shared range serves all of them.
-    MetricRange shared;
-    for (const Core* core : base) {
-      if (const auto v = core->metric(metric)) fold(shared, *v);
-    }
+    const MetricRange shared = fold_metric(*column, mask, 0, table.rows());
     if (shared.count > 0) {
       for (const std::string& option : options) result[option] = shared;
     }
     return result;
   }
 
-  // One partitioning pass over the cached candidates (no per-option
-  // rescans). Options no metric-reporting core lands in are simply absent —
-  // every returned range has count > 0.
-  const Cdo* owner = p.generalized ? current_->property_owner(issue) : nullptr;
-  for (const Core* core : base) {
-    const auto v = core->metric(metric);
-    if (!v.has_value()) continue;
-    std::string option;
-    if (p.generalized) {
-      // Deciding a generalized option descends: the core's option is the
-      // specializing child (of the issue's owner) its indexed CDO sits
-      // under.
-      for (const Cdo* c = layer_->indexed_cdo(*core); c != nullptr; c = c->parent()) {
-        if (c->parent() == owner) {
-          option = c->specializing_option();
-          break;
-        }
-      }
-    } else if (const auto binding = core->binding(issue);
-               binding.has_value() && binding->kind() == Value::Kind::kText) {
-      option = binding->as_text();
+  if (p.generalized) {
+    // Deciding a generalized option descends into the owner's child for
+    // it (one child per option). The plan's rows are cores_under(current_):
+    // when the owner is in scope, its own cores come first and then each
+    // child's subtree as one contiguous run; when the owner is an
+    // ancestor, every row lies under the one child that contains current_.
+    const Cdo* owner = current_->property_owner(issue);
+    if (owner != current_) {
+      const Cdo* child = current_;
+      while (child->parent() != owner) child = child->parent();
+      if (!is_open(child->specializing_option())) return result;
+      const MetricRange range = fold_metric(*column, mask, 0, table.rows());
+      if (range.count > 0) result[child->specializing_option()] = range;
+      return result;
     }
-    if (option.empty() || !open.contains(option)) continue;
-    fold(result[option], *v);
+    std::size_t begin = layer_->cores_at(*owner).size();
+    for (const Cdo* child : owner->children()) {
+      const std::size_t end = begin + layer_->cores_under(*child).size();
+      if (is_open(child->specializing_option())) {
+        const MetricRange range = fold_metric(*column, mask, begin, end);
+        if (range.count > 0) result[child->specializing_option()] = range;
+      }
+      begin = end;
+    }
+    DSLAYER_REQUIRE(begin == table.rows(), "subtree row ranges must tile the filter plan");
+    return result;
+  }
+
+  // A regular filtering issue: one grouped pass over its binding column.
+  const auto issue_symbol = support::lookup_symbol(issue);
+  const CoreTable::Column* key = issue_symbol.has_value() ? table.binding_column(*issue_symbol)
+                                                          : nullptr;
+  if (key == nullptr) return result;  // no core binds the issue
+  std::vector<support::Symbol> keys;
+  std::vector<const std::string*> names;
+  for (const std::string& option : options) {
+    const auto symbol = support::lookup_symbol(option);
+    if (option.empty() || !symbol.has_value()) continue;  // no core binds that text
+    keys.push_back(*symbol);
+    names.push_back(&option);
+  }
+  std::vector<MetricRange> groups;
+  fold_metric_by_key(*column, *key, mask, keys, groups);
+  for (std::size_t i = 0; i < groups.size(); ++i) {
+    if (groups[i].count > 0) result[*names[i]] = groups[i];
   }
   return result;
 }

@@ -123,29 +123,40 @@ class ExplorationSession {
   // -- retrieval ----------------------------------------------------------------
 
   /// Cores in the selected design-space region complying with every
-  /// decision, requirement, and constraint. Memoized behind the session's
-  /// generation counter (one scan serves report(), metric_range() and
-  /// option_ranges() until the next value change); the reference is valid
-  /// until the next mutating call.
+  /// decision, requirement, and constraint, in cores_under() order. The
+  /// session memoizes one sweep per generation as a survivor bitmask over
+  /// the scope's filter plan (DESIGN.md §14); this Core* view of it is
+  /// built only when rows are asked for (here, report(), the shell's
+  /// `candidates`). The reference is valid until the next mutating call.
   const std::vector<const Core*>& candidates() const;
 
-  /// Range of a figure of merit over the candidates that report it.
-  struct MetricRange {
-    double min = 0.0;
-    double max = 0.0;
-    std::size_t count = 0;
-  };
+  /// candidates().size() without building the Core* view: the popcount of
+  /// the memoized survivor mask.
+  std::size_t candidate_count() const;
+
+  /// Range of a figure of merit over the candidates that report it: one
+  /// masked pass over the metric column, folded in row order by the NaN
+  /// fold rule of dsl::MetricRange (count includes NaN cells).
+  using MetricRange = dsl::MetricRange;
   std::optional<MetricRange> metric_range(const std::string& metric) const;
 
   /// The paper's Section 5.1.5 what-if query: for each OPTION of an
   /// undecided design issue, the range of `metric` over the candidates the
   /// session would retain after tentatively deciding that option —
   /// "allowing the designer to consider the performance ranges and other
-  /// figures of merit, for each such alternatives". The cached candidate
-  /// set is partitioned once across all options (not rescanned per
-  /// option). Options vetoed by constraints are omitted, as are options
-  /// whose tentative candidates report no value for `metric` — every range
-  /// returned has count > 0 and meaningful min/max.
+  /// figures of merit, for each such alternatives". Computed from the
+  /// memoized survivor mask in one pass, never a rescan per option:
+  ///  * a regular filtering issue groups the survivors by their text
+  ///    binding of the issue (absent and non-text bindings fall in no
+  ///    option);
+  ///  * a generalized issue partitions the rows by subtree — each child
+  ///    of the issue's owner is one contiguous row range of the plan
+  ///    (cores indexed at the owner itself fall in no option);
+  ///  * an integration parameter filters nothing, so every option shares
+  ///    metric_range().
+  /// Options vetoed by constraints are omitted, as are options whose
+  /// tentative candidates report no value for `metric` — every range
+  /// returned has count > 0.
   std::map<std::string, MetricRange> option_ranges(const std::string& issue,
                                                    const std::string& metric) const;
 
@@ -271,7 +282,9 @@ class ExplorationSession {
   void touch() { ++generation_; }
 
   Bindings compute_bindings() const;
-  std::vector<const Core*> compute_candidates() const;
+  /// The memoized sweep for the current generation (runs it on a miss).
+  const SurvivorMask& survivors() const;
+  SurvivorMask compute_survivors() const;
 
   const DesignSpaceLayer* layer_;
   const Cdo* root_;
@@ -285,8 +298,18 @@ class ExplorationSession {
   std::uint64_t generation_ = 1;
   mutable std::uint64_t bindings_generation_ = 0;  // 0 = never computed
   mutable Bindings bindings_cache_;
-  mutable std::uint64_t candidates_generation_ = 0;
-  mutable std::vector<const Core*> candidates_cache_;
+  // The sweep memo: the survivor mask over `plan`'s table rows, valid
+  // while both the session generation and the layer's plan generation
+  // (a re-index or constraint change replaces plans) match. `rows` is the
+  // mask's Core* view, filled by the first candidates() call.
+  struct SweepMemo {
+    std::uint64_t generation = 0;  // 0 = never computed
+    std::uint64_t plan_generation = 0;
+    const CoreFilterPlan* plan = nullptr;
+    SurvivorMask mask;
+    std::vector<const Core*> rows;
+  };
+  mutable SweepMemo sweep_;
 
   mutable telemetry::Telemetry telemetry_;
   std::vector<telemetry::Event> journal_;

@@ -64,13 +64,10 @@ ReuseLibrary* DesignSpaceLayer::library(const std::string& name) {
 
 std::size_t DesignSpaceLayer::index_cores() {
   index_.clear();
-  core_cdo_.clear();
   subtree_index_.clear();
   filter_plans_.clear();  // plans snapshot the subtree core lists
+  ++plan_generation_;
   index_warnings_.clear();
-  std::size_t total = 0;
-  for (const auto& lib : libraries_) total += lib->size();
-  core_cdo_.reserve(total);
   std::size_t indexed = 0;
   for (const auto& lib : libraries_) {
     for (const Core* core : lib->cores()) {
@@ -105,7 +102,6 @@ std::size_t DesignSpaceLayer::index_cores() {
         cdo = child;
       }
       index_[cdo].push_back(core);
-      core_cdo_[core] = cdo;
       ++indexed;
     }
   }
@@ -121,11 +117,10 @@ std::size_t DesignSpaceLayer::index_cores() {
 void DesignSpaceLayer::restore_index(
     const std::vector<std::pair<const Core*, const Cdo*>>& assignments) {
   index_.clear();
-  core_cdo_.clear();
   subtree_index_.clear();
   filter_plans_.clear();
+  ++plan_generation_;
   index_warnings_.clear();
-  core_cdo_.reserve(assignments.size());
   // Assignments arrive in library/core order, so runs of the same CDO are
   // long (a bulk-loaded library usually indexes under one class); caching
   // the bucket skips a map walk per core.
@@ -137,7 +132,6 @@ void DesignSpaceLayer::restore_index(
       last_cdo = cdo;
     }
     bucket->push_back(core);
-    core_cdo_.emplace(core, cdo);
   }
   for (const Cdo* root : space_.roots()) build_subtree_index(*root);
 }
@@ -150,14 +144,15 @@ const CoreFilterPlan* DesignSpaceLayer::peek_filter_plan(const Cdo& cdo) const {
 void DesignSpaceLayer::install_filter_plan(const Cdo& cdo, CoreTable table) const {
   filter_plans_[&cdo] =
       std::make_unique<CoreFilterPlan>(std::move(table), constraint_index(cdo).predicates);
+  ++plan_generation_;
 }
 
 void DesignSpaceLayer::clear_catalog() {
   libraries_.clear();
   index_.clear();
-  core_cdo_.clear();
   subtree_index_.clear();
   filter_plans_.clear();
+  ++plan_generation_;
   index_warnings_.clear();
 }
 
@@ -191,11 +186,6 @@ const std::vector<const Core*>& DesignSpaceLayer::cores_under(const Cdo& cdo) co
   return build_subtree_index(cdo);
 }
 
-const Cdo* DesignSpaceLayer::indexed_cdo(const Core& core) const {
-  const auto it = core_cdo_.find(&core);
-  return it == core_cdo_.end() ? nullptr : it->second;
-}
-
 void DesignSpaceLayer::add_constraint(ConsistencyConstraint cc) {
   if (!constraint_ids_.insert(cc.id()).second) {
     throw DefinitionError(cat("constraint '", cc.id(), "' already defined"));
@@ -206,6 +196,7 @@ void DesignSpaceLayer::add_constraint(ConsistencyConstraint cc) {
   // plan, whose compiled programs point at the same constraints.
   constraint_index_.clear();
   filter_plans_.clear();
+  ++plan_generation_;
 }
 
 const CoreFilterPlan& DesignSpaceLayer::filter_plan(const Cdo& cdo) const {

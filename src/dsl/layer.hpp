@@ -13,12 +13,12 @@
 // bindings do not resolve are reported, not silently dropped.
 #pragma once
 
+#include <cstdint>
 #include <functional>
 #include <map>
 #include <memory>
 #include <set>
 #include <string>
-#include <unordered_map>
 #include <utility>
 #include <vector>
 
@@ -125,10 +125,6 @@ class DesignSpaceLayer {
   /// index_cores() call.
   const std::vector<const Core*>& cores_under(const Cdo& cdo) const;
 
-  /// The CDO an indexed core resolved to (its most specific family);
-  /// nullptr if the core was never indexed.
-  const Cdo* indexed_cdo(const Core& core) const;
-
   const std::vector<std::string>& index_warnings() const { return index_warnings_; }
 
   // -- consistency constraints -----------------------------------------------
@@ -151,6 +147,12 @@ class DesignSpaceLayer {
   /// add_constraint(); SharedLayer primes it before publishing an epoch.
   /// The reference is stable until the next invalidation.
   const CoreFilterPlan& filter_plan(const Cdo& cdo) const;
+
+  /// Bumped whenever cached filter plans are dropped or replaced
+  /// (index_cores, restore_index, install_filter_plan, clear_catalog,
+  /// add_constraint). A session's memoized survivor mask indexes one
+  /// plan's rows; it is only reused while this value is unchanged.
+  std::uint64_t plan_generation() const { return plan_generation_; }
 
   // -- estimation --------------------------------------------------------------
 
@@ -215,10 +217,6 @@ class DesignSpaceLayer {
   std::set<std::string> constraint_ids_;  // duplicate-id index
   estimation::EstimatorRegistry estimators_ = estimation::EstimatorRegistry::standard();
   std::map<const Cdo*, std::vector<const Core*>> index_;
-  // Reverse of index_. Hash map with an up-front reserve: at catalog scale
-  // (1M cores) red-black nodes cost ~0.5 s to build and a pointer chase
-  // per indexed_cdo() — measurable in both index_cores() and snapshot boot.
-  std::unordered_map<const Core*, const Cdo*> core_cdo_;
   std::vector<std::string> index_warnings_;
   std::map<std::string, CoreFilter> core_filters_;
   std::map<behavior::OpKind, std::string> operator_classes_;
@@ -233,6 +231,7 @@ class DesignSpaceLayer {
   // unique_ptr: plans must stay address-stable while sessions hold the
   // reference across map growth.
   mutable std::map<const Cdo*, std::unique_ptr<CoreFilterPlan>> filter_plans_;
+  mutable std::uint64_t plan_generation_ = 1;
   mutable telemetry::Telemetry telemetry_;
 };
 

@@ -141,7 +141,7 @@ ShellEngine::Status ShellEngine::dispatch(const std::vector<std::string>& words,
     DSLAYER_REQUIRE(words.size() >= 2, "usage: open <path>");
     session_ = std::make_unique<ExplorationSession>(layer, words[1]);
     out << "session at " << session_->current().path() << ", "
-        << session_->candidates().size() << " candidates\n";
+        << session_->candidate_count() << " candidates\n";
   } else if (cmd == "req" || cmd == "decide") {
     DSLAYER_REQUIRE(words.size() >= 3, "usage: req|decide <name> <value>");
     const Value value = parse_value(rest_from(2));
@@ -151,7 +151,7 @@ ShellEngine::Status ShellEngine::dispatch(const std::vector<std::string>& words,
       need_session().decide(words[1], value);
     }
     out << "ok; scope " << need_session().current().path() << ", "
-        << need_session().candidates().size() << " candidates\n";
+        << need_session().candidate_count() << " candidates\n";
   } else if (cmd == "retract") {
     DSLAYER_REQUIRE(words.size() >= 2, "usage: retract <name>");
     need_session().retract(words[1]);
@@ -225,7 +225,7 @@ ShellEngine::Status ShellEngine::dispatch(const std::vector<std::string>& words,
     text << file.rdbuf();
     restore_from_journal(text.str());
     out << "replayed " << session_->journal().size() << " events; scope "
-        << session_->current().path() << ", " << session_->candidates().size()
+        << session_->current().path() << ", " << session_->candidate_count()
         << " candidates\n";
   } else if (cmd == "trace") {
     ExplorationSession& s = need_session();

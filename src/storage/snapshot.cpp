@@ -267,8 +267,19 @@ SnapshotWriteReport write_snapshot(const dsl::DesignSpaceLayer& layer, const std
   }
 
   // kCores: libraries in attach order, cores in add order — exactly the
-  // index_cores() visit order restore_index() needs.
+  // index_cores() visit order restore_index() needs. Each core carries the
+  // id of the CDO it is indexed at, read off the layer's cores_at()
+  // buckets (the layer keeps no core -> CDO map).
   {
+    std::unordered_map<const dsl::Core*, std::uint32_t> core_cdo;
+    std::size_t indexed = 0;
+    for (const dsl::Cdo* cdo : all_cdos) indexed += layer.cores_at(*cdo).size();
+    core_cdo.reserve(indexed);
+    for (std::size_t i = 0; i < all_cdos.size(); ++i) {
+      for (const dsl::Core* core : layer.cores_at(*all_cdos[i])) {
+        core_cdo.emplace(core, static_cast<std::uint32_t>(i));
+      }
+    }
     Encoder e;
     const std::vector<const dsl::ReuseLibrary*> libraries = layer.libraries();
     e.u32(static_cast<std::uint32_t>(libraries.size()));
@@ -280,9 +291,8 @@ SnapshotWriteReport write_snapshot(const dsl::DesignSpaceLayer& layer, const std
         ++report.cores;
         e.str(core->name());
         e.u32(core->class_symbol());
-        const dsl::Cdo* cdo = layer.indexed_cdo(*core);
-        const auto it = cdo == nullptr ? cdo_ids.end() : cdo_ids.find(cdo);
-        e.u32(it == cdo_ids.end() ? kNoCdo : it->second);
+        const auto it = core_cdo.find(core);
+        e.u32(it == core_cdo.end() ? kNoCdo : it->second);
         e.u32(static_cast<std::uint32_t>(core->bindings().size()));
         for (const dsl::CoreBinding& b : core->bindings()) {
           e.u32(b.symbol);

@@ -4,7 +4,9 @@
 // public state — a plain per-core loop with no overlay trick, no telemetry
 // and no prefilters. The two must agree on
 //   * the candidate set, element for element (same Core pointers, same order);
-//   * option_ranges() built on top of it;
+//   * metric_range() and option_ranges() built on top of it, bit for bit
+//     (NaN included: the columnar folds read the survivor mask and the
+//     metric columns, the reference folds Core::metric() per survivor);
 //   * the deterministic work counters of every cold sweep (compliance
 //     checks, constraint evaluations) — the columnar sweep replays the
 //     per-core early-exit totals;
@@ -13,15 +15,20 @@
 // columns, numeric columns, mixed-kind (boxed) columns, missing bindings and
 // metrics, declarative compliance (at-least / at-most / equals), custom
 // per-core filters, compiled predicate programs, the opaque-lambda overlay
-// fallback, session-only property resolution, and plan invalidation after
-// index_cores() / add_constraint().
+// fallback, session-only property resolution, plan invalidation after
+// index_cores() / add_constraint(), and the what-if shapes: NaN and absent
+// metric cells, signed-zero ties, generalized issues at their owner and
+// after descending, and integration parameters.
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <bit>
 #include <cmath>
 #include <cstdint>
 #include <map>
 #include <memory>
+#include <optional>
 #include <set>
 #include <string>
 #include <tuple>
@@ -134,15 +141,38 @@ Reference reference_scan(const ExplorationSession& s, const Cdo& root) {
   return r;
 }
 
+using MetricRange = ExplorationSession::MetricRange;
+
+/// The range fold, written as plainly as possible: the first value seeds
+/// both ends, later ones go through std::min / std::max in survivor order.
+void reference_fold(MetricRange& range, double v) {
+  range.min = range.count == 0 ? v : std::min(range.min, v);
+  range.max = range.count == 0 ? v : std::max(range.max, v);
+  ++range.count;
+}
+
+/// metric_range() over the reference survivors: every survivor reporting
+/// the metric, nullopt when none does.
+std::optional<MetricRange> reference_metric_range(const std::vector<const Core*>& survivors,
+                                                  const std::string& metric) {
+  MetricRange range;
+  for (const Core* core : survivors) {
+    if (const auto v = core->metric(metric)) reference_fold(range, *v);
+  }
+  if (range.count == 0) return std::nullopt;
+  return range;
+}
+
 /// The Section 5.1.5 what-if answer over the reference survivors: for each
 /// open option of `issue`, the range of `metric` over the survivors deciding
 /// that option keeps (a generalized option keeps the cores under its child
 /// CDO; a non-filtering issue keeps them all). Empty ranges are omitted.
-std::map<std::string, ExplorationSession::MetricRange> reference_ranges(
-    const ExplorationSession& s, const std::vector<const Core*>& survivors,
-    const std::string& issue, const std::string& metric) {
+std::map<std::string, MetricRange> reference_ranges(const ExplorationSession& s,
+                                                    const std::vector<const Core*>& survivors,
+                                                    const std::string& issue,
+                                                    const std::string& metric) {
   const Property& p = *s.current().find_property(issue);
-  std::map<std::string, ExplorationSession::MetricRange> out;
+  std::map<std::string, MetricRange> out;
   for (const std::string& option : s.available_options(issue)) {
     std::set<const Core*> region;
     if (p.generalized) {
@@ -152,20 +182,29 @@ std::map<std::string, ExplorationSession::MetricRange> reference_ranges(
         region.insert(cores.begin(), cores.end());
       }
     }
-    ExplorationSession::MetricRange range;
+    MetricRange range;
     for (const Core* core : survivors) {
       const bool kept = p.generalized      ? region.contains(core)
                         : !p.filters_cores ? true
                                            : core->binding(issue) == Value::text(option);
       const auto v = core->metric(metric);
-      if (!kept || !v.has_value()) continue;
-      range.min = range.count == 0 ? *v : std::min(range.min, *v);
-      range.max = range.count == 0 ? *v : std::max(range.max, *v);
-      ++range.count;
+      if (kept && v.has_value()) reference_fold(range, *v);
     }
     if (range.count > 0) out[option] = range;
   }
   return out;
+}
+
+/// Bit-for-bit equality: NaN equals the same NaN, +0 differs from -0
+/// (EXPECT_DOUBLE_EQ is false on NaN and blind to the sign of zero).
+bool same_bits(double a, double b) {
+  return std::bit_cast<std::uint64_t>(a) == std::bit_cast<std::uint64_t>(b);
+}
+
+void expect_same_range(const MetricRange& got, const MetricRange& want, const std::string& what) {
+  EXPECT_TRUE(same_bits(got.min, want.min)) << what << ": min " << got.min << " vs " << want.min;
+  EXPECT_TRUE(same_bits(got.max, want.max)) << what << ": max " << got.max << " vs " << want.max;
+  EXPECT_EQ(got.count, want.count) << what;
 }
 
 /// A session and the class it was opened at. Every check recomputes the
@@ -240,10 +279,15 @@ struct Oracle {
     ASSERT_EQ(got.size(), want.size()) << issue << "/" << metric;
     for (const auto& [option, range] : got) {
       ASSERT_TRUE(want.contains(option)) << option;
-      EXPECT_DOUBLE_EQ(range.min, want.at(option).min) << option;
-      EXPECT_DOUBLE_EQ(range.max, want.at(option).max) << option;
-      EXPECT_EQ(range.count, want.at(option).count) << option;
+      expect_same_range(range, want.at(option), issue + "=" + option + "/" + metric);
     }
+  }
+
+  void expect_range_agrees(const std::string& metric) {
+    const auto got = session.metric_range(metric);
+    const auto want = reference_metric_range(reference_scan(session, *root).survivors, metric);
+    ASSERT_EQ(got.has_value(), want.has_value()) << metric;
+    if (got.has_value()) expect_same_range(*got, *want, metric);
   }
 };
 
@@ -742,6 +786,143 @@ TEST_P(ForcedKernelOracle, NaNAndSparsePresenceAgree) {
   EXPECT_GT(oracle.cold_sweeps, 0u);
 }
 
+/// The what-if shapes. Unit's generalized issue Style partitions the rows
+/// by subtree (hw has its own generalized issue Arch; no core reaches fpga;
+/// cores binding no Style stay at Unit itself). Tech is
+/// a text column with gaps, Grade a kMixed column (texts, numbers, gaps),
+/// Slices an integration parameter. The area metric is NaN or absent on
+/// some cores, and the first core of every CDO reports NaN, so each scope
+/// and each partition starts on a NaN row; clock is 0 or -0 on a third of
+/// the cores, so ties decide which zero a range reports.
+std::unique_ptr<DesignSpaceLayer> what_if_layer(unsigned seed, std::size_t core_count) {
+  auto layer = std::make_unique<DesignSpaceLayer>("what-if");
+  Cdo& unit = layer->space().add_root("Unit");
+  unit.add_property(Property::generalized_issue("Style", {"hw", "sw", "fpga"}, ""));
+  unit.add_property(Property::design_issue("Tech", ValueDomain::options({"t1", "t2", "t3"}), ""));
+  unit.add_property(
+      Property::design_issue("Grade", ValueDomain::options({"g0", "g1", "g2"}), ""));
+  unit.add_property(Property::design_issue("Slices", ValueDomain::options({"s1", "s2"}), "")
+                        .without_core_filtering());
+  unit.add_property(Property::requirement("MaxArea", ValueDomain::real_range(0.0, 100.0), "")
+                        .with_compliance(Compliance::kCoreAtMost, "area"));
+  Cdo& hw = unit.specialize("hw");
+  hw.add_property(Property::generalized_issue("Arch", {"a", "b"}, ""));
+  hw.specialize("a");
+  hw.specialize("b");
+  unit.specialize("sw");
+  unit.specialize("fpga");  // a subtree no core reaches: an empty row range
+
+  Rng rng(seed);
+  ReuseLibrary& lib = layer->add_library("cores");
+  const char* styles[] = {"hw", "sw"};
+  const char* archs[] = {"a", "b"};
+  const char* techs[] = {"t1", "t2", "t3"};
+  const char* grades[] = {"g0", "g1", "g2"};
+  const double nan = std::nan("");
+  std::set<std::string> seen_class;  // "first core of a CDO" reports NaN
+  for (std::size_t i = 0; i < core_count; ++i) {
+    Core c("c" + std::to_string(i), "Unit");
+    std::string where = "Unit";
+    if (rng.next_below(5) != 0) {
+      const char* style = styles[rng.next_below(2)];
+      c.bind("Style", Value::text(style));
+      where = style;
+      if (where == "hw" && rng.next_below(4) != 0) {
+        const char* arch = archs[rng.next_below(2)];
+        c.bind("Arch", Value::text(arch));
+        where += arch;
+      }
+    }
+    if (rng.next_below(6) != 0) c.bind("Tech", Value::text(techs[rng.next_below(3)]));
+    switch (rng.next_below(4)) {
+      case 0: c.bind("Grade", Value::number(1.0)); break;
+      case 1: break;  // no Grade binding
+      default: c.bind("Grade", Value::text(grades[rng.next_below(3)])); break;
+    }
+    if (seen_class.insert(where).second) {
+      c.set_metric("area", nan);
+    } else if (rng.next_below(8) == 0) {
+      c.set_metric("area", nan);
+    } else if (rng.next_below(8) != 0) {
+      c.set_metric("area", static_cast<double>(rng.next_below(100)));
+    }  // else: no area metric
+    switch (rng.next_below(3)) {
+      case 0: c.set_metric("clock", rng.next_bool() ? 0.0 : -0.0); break;
+      case 1: c.set_metric("clock", static_cast<double>(rng.next_below(50)) + 1.0); break;
+      default: break;
+    }
+    lib.add(std::move(c));
+  }
+  layer->index_cores();
+  return layer;
+}
+
+/// Every what-if answer the session's scope allows, against the reference.
+void expect_what_if_agrees(Oracle& oracle) {
+  oracle.expect_candidates_agree();
+  for (const char* metric : {"area", "clock", "no_such_metric"}) {
+    oracle.expect_range_agrees(metric);
+    for (const Property* p : oracle.session.current().visible_properties()) {
+      if (p->kind == dsl::PropertyKind::kDesignIssue) oracle.expect_ranges_agree(p->name, metric);
+    }
+  }
+}
+
+TEST_P(ForcedKernelOracle, WhatIfAggregatesAgree) {
+  const unsigned seed = std::get<1>(GetParam());
+  for (const std::size_t count : {0u, 1u, 65u, 300u}) {
+    auto layer = what_if_layer(seed * 7703 + static_cast<unsigned>(count), count);
+    Oracle oracle(*layer, "Unit");
+    Rng rng(seed * 37 + count);
+    expect_what_if_agrees(oracle);
+    for (int step = 0; step < 24; ++step) {
+      switch (rng.next_below(6)) {
+        case 0: {
+          const char* techs[] = {"t1", "t2", "t3"};
+          const char* tech = techs[rng.next_below(3)];
+          oracle.apply([&](ExplorationSession& s) { s.decide("Tech", tech); });
+          break;
+        }
+        case 1: {
+          const char* grades[] = {"g0", "g1", "g2"};
+          const char* grade = grades[rng.next_below(3)];
+          oracle.apply([&](ExplorationSession& s) { s.decide("Grade", grade); });
+          break;
+        }
+        case 2: {  // descend: Style at Unit, then Arch at hw
+          const char* issue = oracle.session.current().generalized_issue() != nullptr
+                                  ? oracle.session.current().generalized_issue()->name.c_str()
+                                  : "Style";
+          const auto options = oracle.session.available_options(issue);
+          if (options.empty()) break;
+          const std::string option = options[rng.next_below(options.size())];
+          oracle.apply([&](ExplorationSession& s) { s.decide(issue, option); });
+          break;
+        }
+        case 3: {
+          const char* slices = rng.next_bool() ? "s1" : "s2";
+          oracle.apply([&](ExplorationSession& s) { s.decide("Slices", slices); });
+          break;
+        }
+        case 4: {
+          const double bound = static_cast<double>(rng.next_below(101));
+          oracle.apply([&](ExplorationSession& s) { s.set_requirement("MaxArea", bound); });
+          break;
+        }
+        default: {
+          const char* names[] = {"Style", "Arch", "Tech", "Grade", "Slices", "MaxArea"};
+          const char* name = names[rng.next_below(6)];
+          oracle.apply([&](ExplorationSession& s) {
+            if (s.value_of(name).has_value()) s.retract(name);
+          });
+          break;
+        }
+      }
+      expect_what_if_agrees(oracle);
+    }
+  }
+}
+
 INSTANTIATE_TEST_SUITE_P(Kernels, ForcedKernelOracle,
                          ::testing::Combine(::testing::Values(0, 1), ::testing::Range(1u, 4u)));
 
@@ -830,6 +1011,55 @@ TEST(ColumnarOracle, PrefilterFuzzWalkAgrees) {
     }
     EXPECT_GT(oracle.cold_sweeps, 0u);
   }
+}
+
+// ---------------------------------------------------------------------------
+// The NaN fold rule, spelled out on a hand-built layer.
+// ---------------------------------------------------------------------------
+
+TEST(ColumnarOracle, RangeFoldRuleOnNaNAndSignedZero) {
+  auto layer = std::make_unique<DesignSpaceLayer>("fold-rule");
+  Cdo& node = layer->space().add_root("Node");
+  node.add_property(Property::design_issue("Tech", ValueDomain::options({"t1", "t2"}), ""));
+  ReuseLibrary& lib = layer->add_library("cores");
+  const double nan = std::nan("");
+  // t1 rows: NaN first, then 3, 1 -> min and max stay NaN.
+  // t2 rows: -0, 5, NaN, +0 -> NaN never moves an end; -0 (earlier) wins
+  // the tie with +0.
+  const std::vector<std::pair<const char*, std::optional<double>>> rows = {
+      {"t1", nan}, {"t2", -0.0}, {"t1", 3.0}, {"t2", 5.0}, {"t2", nan},
+      {"t1", std::nullopt}, {"t2", 0.0}, {"t1", 1.0}};
+  for (std::size_t i = 0; i < rows.size(); ++i) {
+    Core c("c" + std::to_string(i), "Node");
+    c.bind("Tech", Value::text(rows[i].first));
+    if (rows[i].second.has_value()) c.set_metric("area", *rows[i].second);
+    lib.add(std::move(c));
+  }
+  layer->index_cores();
+
+  Oracle oracle(*layer, "Node");
+  oracle.expect_range_agrees("area");
+  oracle.expect_ranges_agree("Tech", "area");
+  const auto all = oracle.session.metric_range("area");
+  ASSERT_TRUE(all.has_value());
+  EXPECT_TRUE(std::isnan(all->min) && std::isnan(all->max));  // the first row is NaN
+  EXPECT_EQ(all->count, 7u);                                   // NaN cells count
+  const auto by_tech = oracle.session.option_ranges("Tech", "area");
+  ASSERT_EQ(by_tech.size(), 2u);
+  EXPECT_TRUE(std::isnan(by_tech.at("t1").min) && std::isnan(by_tech.at("t1").max));
+  EXPECT_EQ(by_tech.at("t1").count, 3u);
+  EXPECT_TRUE(same_bits(by_tech.at("t2").min, -0.0));
+  EXPECT_TRUE(same_bits(by_tech.at("t2").max, 5.0));
+  EXPECT_EQ(by_tech.at("t2").count, 4u);
+
+  // The same rule through metric_range's masked pass once t2 is decided.
+  oracle.apply([](ExplorationSession& s) { s.decide("Tech", "t2"); });
+  oracle.expect_range_agrees("area");
+  const auto t2 = oracle.session.metric_range("area");
+  ASSERT_TRUE(t2.has_value());
+  EXPECT_TRUE(same_bits(t2->min, -0.0));
+  EXPECT_TRUE(same_bits(t2->max, 5.0));
+  EXPECT_EQ(t2->count, 4u);
 }
 
 }  // namespace

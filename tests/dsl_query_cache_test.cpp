@@ -6,6 +6,11 @@
 //    empty (count == 0) ranges;
 //  * bindings()/candidates() memoize behind the generation counter, with
 //    QueryStats evidencing hits, misses, and invalidation;
+//  * the sweep memo is a survivor mask: one cold sweep per generation
+//    serves candidate_count(), metric_range(), option_ranges() and
+//    candidates(); a replaced filter plan (re-index, SharedLayer write
+//    epoch) is never answered from a stale mask; sessions on reader
+//    threads fold one shared plan concurrently (run under TSan in CI);
 //  * the per-CDO constraint index agrees with a linear applies_at scan and
 //    survives add_constraint() invalidation;
 //  * retract() of a generalized decision ascends, drops out-of-scope
@@ -14,9 +19,13 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <bit>
+#include <thread>
 
 #include "dsl/exploration.hpp"
+#include "service/shared_layer.hpp"
 #include "support/error.hpp"
+#include "support/rng.hpp"
 
 namespace dslayer::dsl {
 namespace {
@@ -204,6 +213,213 @@ TEST(QueryCache, ReplayedSessionStartsColdAndAgrees) {
   EXPECT_EQ(rebuilt.candidates(), warm);
   EXPECT_GT(rebuilt.query_stats().cache_hits, cold.cache_hits);
   EXPECT_EQ(rebuilt.query_stats().compliance_checks, cold.compliance_checks);
+}
+
+// ---------------------------------------------------------------------------
+// The survivor-mask memo behind candidates() and the what-if aggregates.
+// ---------------------------------------------------------------------------
+
+/// R partitions on the generalized issue Mode (A | B, A with its own
+/// generalized Depth); Tech and Width filter; area/clock are metrics.
+/// Enough cores that a sweep fans out over the chunk pool.
+std::unique_ptr<DesignSpaceLayer> walk_layer(std::size_t core_count) {
+  auto layer = std::make_unique<DesignSpaceLayer>("walk");
+  Cdo& root = layer->space().add_root("R");
+  root.add_property(Property::generalized_issue("Mode", {"A", "B"}, ""));
+  root.add_property(Property::design_issue("Tech", ValueDomain::options({"new", "old"}), ""));
+  root.add_property(Property::design_issue("Width", ValueDomain::options({"w16", "w32"}), ""));
+  Cdo& a = root.specialize("A");
+  a.add_property(Property::generalized_issue("Depth", {"d1", "d2"}, ""));
+  a.specialize("d1");
+  a.specialize("d2");
+  root.specialize("B");
+  Rng rng(17);
+  ReuseLibrary& lib = layer->add_library("cores");
+  for (std::size_t i = 0; i < core_count; ++i) {
+    Core c("c" + std::to_string(i), "R");
+    if (rng.next_below(4) != 0) {
+      const bool is_a = rng.next_bool();
+      c.bind("Mode", Value::text(is_a ? "A" : "B"));
+      if (is_a && rng.next_bool()) c.bind("Depth", Value::text(rng.next_bool() ? "d1" : "d2"));
+    }
+    if (rng.next_below(5) != 0) c.bind("Tech", Value::text(rng.next_bool() ? "new" : "old"));
+    if (rng.next_below(5) != 0) c.bind("Width", Value::text(rng.next_bool() ? "w16" : "w32"));
+    if (rng.next_below(6) != 0) c.set_metric("area", static_cast<double>(rng.next_below(1000)));
+    if (rng.next_below(3) != 0) c.set_metric("clock", static_cast<double>(rng.next_below(50)));
+    lib.add(std::move(c));
+  }
+  layer->index_cores();
+  return layer;
+}
+
+/// One random step of a walk over walk_layer(); rejected steps are no-ops.
+void random_step(ExplorationSession& s, Rng& rng) {
+  const char* issues[] = {"Mode", "Depth", "Tech", "Width"};
+  const char* name = issues[rng.next_below(4)];
+  try {
+    if (rng.next_below(3) == 0) {
+      if (s.value_of(name).has_value()) s.retract(name);
+      return;
+    }
+    const auto options = s.available_options(name);
+    if (!options.empty()) s.decide(name, options[rng.next_below(options.size())]);
+  } catch (const Error&) {
+  }
+}
+
+/// Sweeps the session has run (memo hits record no timing).
+std::uint64_t sweeps_of(const ExplorationSession& s) {
+  const auto timings = s.telemetry().timings();
+  const auto it = timings.find("candidates");
+  return it == timings.end() ? 0 : it->second.count;
+}
+
+/// Every what-if answer of `s` rendered bit-exactly, for comparing sessions.
+std::string what_if_fingerprint(const ExplorationSession& s) {
+  std::string out = std::to_string(s.candidate_count());
+  const auto put = [&out](const ExplorationSession::MetricRange& r) {
+    out += " " + std::to_string(std::bit_cast<std::uint64_t>(r.min)) + ":" +
+           std::to_string(std::bit_cast<std::uint64_t>(r.max)) + "#" + std::to_string(r.count);
+  };
+  for (const char* metric : {"area", "clock"}) {
+    if (const auto range = s.metric_range(metric)) put(*range);
+    for (const Property* p : s.current().visible_properties()) {
+      if (p->kind != PropertyKind::kDesignIssue) continue;
+      for (const auto& [option, range] : s.option_ranges(p->name, metric)) {
+        out += " " + option;
+        put(range);
+      }
+    }
+  }
+  return out;
+}
+
+TEST(SweepMemo, CandidateCountMatchesCandidatesAcrossAWalk) {
+  auto layer = walk_layer(700);
+  ExplorationSession s(*layer, "R");
+  Rng rng(5);
+  for (int step = 0; step < 60; ++step) {
+    random_step(s, rng);
+    // Count first (mask only), then the rows view, then the count again.
+    const std::size_t count = s.candidate_count();
+    EXPECT_EQ(count, s.candidates().size()) << "step " << step;
+    EXPECT_EQ(s.candidate_count(), count);
+    for (const Core* core : s.candidates()) {
+      const auto& region = layer->cores_under(s.current());
+      EXPECT_NE(std::find(region.begin(), region.end(), core), region.end());
+    }
+  }
+}
+
+TEST(SweepMemo, OneColdSweepPerGenerationServesEveryQuery) {
+  auto layer = walk_layer(700);
+  ExplorationSession s(*layer, "R");
+  Rng rng(9);
+  std::uint64_t cold_steps = 0;
+  for (int step = 0; step < 20; ++step) {
+    const std::size_t journaled = s.journal().size();
+    random_step(s, rng);
+    // A rejected step changes nothing, so the previous sweep still serves.
+    const std::uint64_t cold = s.journal().size() != journaled ? 1 : 0;
+    const std::uint64_t sweeps = sweeps_of(s);
+    const std::uint64_t checks = s.query_stats().compliance_checks;
+    const std::size_t count = s.candidate_count();
+    (void)s.metric_range("area");
+    (void)s.option_ranges("Tech", "clock");
+    (void)s.option_ranges("Mode", "area");
+    const std::size_t rows = s.candidates().size();
+    (void)s.metric_range("clock");
+    EXPECT_EQ(sweeps_of(s), sweeps + cold) << "step " << step;
+    EXPECT_EQ(s.query_stats().compliance_checks - checks,
+              cold * layer->cores_under(s.current()).size());
+    EXPECT_EQ(rows, count);
+    cold_steps += cold;
+  }
+  EXPECT_GT(cold_steps, 5u);
+}
+
+TEST(SweepMemo, ReplacedPlanIsNeverAnsweredFromAStaleMask) {
+  auto layer = walk_layer(300);
+  ExplorationSession s(*layer, "R");
+  s.decide("Tech", "new");
+  const std::size_t before = s.candidate_count();
+  const auto area_before = s.metric_range("area");
+  ASSERT_TRUE(area_before.has_value());
+
+  // A new core the session's decisions keep, with an area above every
+  // other: the re-index replaces the plan under an unchanged session.
+  Core fresh("fresh", "R");
+  fresh.bind("Tech", Value::text("new")).set_metric("area", 5000.0);
+  layer->library("cores")->add(std::move(fresh));
+  layer->index_cores();
+
+  EXPECT_EQ(s.candidate_count(), before + 1);
+  EXPECT_EQ(s.candidates().size(), before + 1);
+  const auto area_after = s.metric_range("area");
+  ASSERT_TRUE(area_after.has_value());
+  EXPECT_EQ(area_after->count, area_before->count + 1);
+  EXPECT_EQ(area_after->max, 5000.0);
+}
+
+TEST(SweepMemo, SharedLayerEpochGivesAFreshAnswer) {
+  auto layer = walk_layer(300);
+  service::SharedLayer shared(*layer);
+  ExplorationSession s(shared.layer(), "R");
+  s.decide("Width", "w32");
+  const std::uint64_t epoch = shared.epoch();
+  std::size_t before = 0;
+  std::optional<ExplorationSession::MetricRange> clock_before;
+  {
+    const auto reader = shared.read_lock();
+    before = s.candidate_count();
+    clock_before = s.metric_range("clock");
+  }
+  ASSERT_TRUE(clock_before.has_value());
+
+  // A catalog mutation epoch: the writer adds a library whose core the
+  // session keeps; the epoch re-indexes and re-primes every plan.
+  shared.write([](DesignSpaceLayer& l) {
+    Core late("late", "R");
+    late.bind("Width", Value::text("w32")).set_metric("clock", -1.0);
+    l.add_library("late").add(std::move(late));
+  });
+  EXPECT_GT(shared.epoch(), epoch);
+
+  const auto reader = shared.read_lock();
+  EXPECT_EQ(s.candidate_count(), before + 1);
+  const auto clock_after = s.metric_range("clock");
+  ASSERT_TRUE(clock_after.has_value());
+  EXPECT_EQ(clock_after->min, -1.0);
+  EXPECT_EQ(clock_after->count, clock_before->count + 1);
+  // A session opened fresh on the new epoch agrees with the reused one.
+  ExplorationSession fresh(shared.layer(), "R");
+  fresh.decide("Width", "w32");
+  EXPECT_EQ(what_if_fingerprint(fresh), what_if_fingerprint(s));
+}
+
+TEST(SweepMemo, ReaderThreadsFoldOneSharedPlanConcurrently) {
+  // Sessions on executor workers share one primed plan under the read
+  // lock. Each thread replays its own walk and must land on the answers a
+  // single thread computed; ci.sh runs this under ThreadSanitizer.
+  auto layer = walk_layer(6000);
+  service::SharedLayer shared(*layer);
+  constexpr int kThreads = 4;
+  constexpr int kSteps = 12;
+  const auto walk = [&shared](int thread, std::vector<std::string>& out) {
+    const auto reader = shared.read_lock();
+    ExplorationSession s(shared.layer(), "R");
+    Rng rng(static_cast<std::uint64_t>(thread) + 100);
+    for (int step = 0; step < kSteps; ++step) {
+      random_step(s, rng);
+      out.push_back(what_if_fingerprint(s));
+    }
+  };
+  std::vector<std::vector<std::string>> expected(kThreads), got(kThreads);
+  for (int t = 0; t < kThreads; ++t) walk(t, expected[t]);
+  std::vector<std::thread> threads;
+  for (int t = 0; t < kThreads; ++t) threads.emplace_back(walk, t, std::ref(got[t]));
+  for (std::thread& thread : threads) thread.join();
+  for (int t = 0; t < kThreads; ++t) EXPECT_EQ(got[t], expected[t]) << "thread " << t;
 }
 
 // ---------------------------------------------------------------------------
