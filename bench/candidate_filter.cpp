@@ -44,14 +44,12 @@
 #include <algorithm>
 #include <bit>
 #include <chrono>
-#include <cstdio>
 #include <cstdlib>
 #include <fstream>
 #include <iostream>
 #include <map>
 #include <optional>
 #include <string>
-#include <thread>
 #include <unordered_set>
 #include <vector>
 
@@ -59,6 +57,7 @@
 #include "support/simd.hpp"
 #include "support/strings.hpp"
 #include "support/telemetry.hpp"
+#include "machine_stamp.hpp"
 #include "synthetic_library.hpp"
 
 using namespace dslayer;
@@ -353,21 +352,6 @@ void json_aggregate(std::ostream& out, const char* name, const AggregatePhase& p
   out << "    }";
 }
 
-/// `git rev-parse` of the source tree the bench was built from, or
-/// "unknown" when git or the checkout is unavailable.
-std::string git_sha() {
-  std::string sha;
-  const char* command =
-      "git -C \"" DSLAYER_SOURCE_DIR "\" rev-parse --short=12 HEAD 2>/dev/null";
-  if (FILE* pipe = ::popen(command, "r")) {
-    char buf[64];
-    while (std::fgets(buf, sizeof(buf), pipe) != nullptr) sha += buf;
-    if (::pclose(pipe) != 0) sha.clear();
-  }
-  while (!sha.empty() && (sha.back() == '\n' || sha.back() == '\r')) sha.pop_back();
-  return sha.empty() ? "unknown" : sha;
-}
-
 void print_phase(const char* name, const PhaseResult& p) {
   std::cout << "  " << name << ": " << format_double(p.per_scan_ms, 4) << " ms/scan (x"
             << p.repeats << ")  (" << p.constraint_evaluations << " constraint evals, "
@@ -503,12 +487,7 @@ int main(int argc, char** argv) {
         << "  \"table_rows\": " << plan.table.rows() << ",\n"
         << "  \"table_bytes\": " << table_bytes << ",\n"
         << "  \"bytes_per_core\": " << bytes_per_core << ",\n"
-        << "  \"machine\": {\n"
-        << "    \"cores\": " << std::thread::hardware_concurrency() << ",\n"
-        << "    \"kernel\": \"" << simd::to_string(simd::active_kernel()) << "\",\n"
-        << "    \"build_type\": \"" << DSLAYER_BUILD_TYPE << "\",\n"
-        << "    \"git_sha\": \"" << git_sha() << "\"\n"
-        << "  },\n";
+        << bench::machine_json() << ",\n";
     json_scenario(out, "declarative", declarative);
     out << ",\n";
     json_scenario(out, "custom_filter", custom);

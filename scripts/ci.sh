@@ -20,7 +20,8 @@
 #   6. ThreadSanitizer — the concurrency stress AND chaos tests (tier2) in
 #      a TSan build, gating the exploration service's locking model, plus
 #      the sweep-memo tests whose reader threads fold one shared filter
-#      plan concurrently;
+#      plan concurrently, and the lazy-boot tests whose reader threads
+#      fill snapshot-restored core slots concurrently;
 #   7. benchmark telemetry — the candidate-filter, Fig. 12, service
 #      throughput, network throughput, and storage cold-start benches emit
 #      machine-readable BENCH_*.json at the repo root for trend tracking,
@@ -78,11 +79,15 @@ cmake -B build-tsan -S . \
   -DDSLAYER_BUILD_EXAMPLES=OFF \
   -DCMAKE_CXX_FLAGS="$TSAN_FLAGS"
 cmake --build build-tsan -j --target service_stress_test service_chaos_test net_chaos_test \
-  exploration_fuzz_test storage_fuzz_test storage_chaos_test dsl_query_cache_test
+  exploration_fuzz_test storage_fuzz_test storage_chaos_test dsl_query_cache_test \
+  storage_lazy_boot_test
 (cd build-tsan && ctest -L tier2 --output-on-failure --timeout "$CTEST_TIMEOUT")
 # What-if aggregates: sessions on reader threads share one primed plan and
 # fold its metric columns through their own survivor masks.
 ./build-tsan/tests/dsl_query_cache_test
+# Lazy snapshot boot: reader threads under the SharedLayer read lock fill
+# restored core slots on first read, each exactly once.
+./build-tsan/tests/storage_lazy_boot_test
 
 echo "=== [7/7] benchmark telemetry (BENCH_*.json) + counter guard ==="
 ./build/bench/candidate_filter --json BENCH_candidate_filter.json

@@ -38,6 +38,59 @@ Core Core::restored(std::string name, support::Symbol class_symbol,
   return core;
 }
 
+Core::Core(const Core& other) {
+  other.loaded();
+  name_ = other.name_;
+  class_symbol_ = other.class_symbol_;
+  class_path_ = other.class_path_;
+  library_ = other.library_;
+  bindings_ = other.bindings_;
+  metrics_ = other.metrics_;
+  views_ = other.views_;
+}
+
+Core::Core(Core&& other) noexcept { *this = std::move(other); }
+
+Core& Core::operator=(const Core& other) {
+  if (this != &other) *this = Core(other);
+  return *this;
+}
+
+Core& Core::operator=(Core&& other) noexcept {
+  // Only born-filled cores are ever moved (restored slots stay in their
+  // library), but a moved slot would keep its source and stay lazy.
+  take(std::move(other));
+  library_ = other.library_;
+  filled_.store(other.filled_.load(std::memory_order_acquire), std::memory_order_relaxed);
+  source_ = other.source_;
+  record_ = other.record_;
+  return *this;
+}
+
+void Core::take(Core&& other) {
+  name_ = std::move(other.name_);
+  class_symbol_ = other.class_symbol_;
+  class_path_ = other.class_path_;
+  bindings_ = std::move(other.bindings_);
+  metrics_ = std::move(other.metrics_);
+  views_ = std::move(other.views_);
+}
+
+void Core::fill() const {
+  std::lock_guard<std::mutex> lock(source_->fill_mutex_);
+  if (filled_.load(std::memory_order_relaxed)) return;  // another reader won
+  const_cast<Core*>(this)->take(source_->decode(record_));
+  source_->filled_.fetch_add(1, std::memory_order_relaxed);
+  filled_.store(true, std::memory_order_release);
+}
+
+const Core& Core::peek(std::optional<Core>& scratch) const {
+  if (filled_.load(std::memory_order_acquire)) return *this;
+  scratch.emplace(source_->decode(record_));
+  scratch->library_ = library_;
+  return *scratch;
+}
+
 void Core::set_library(const std::string& library) { library_ = interned(library).second; }
 
 Core& Core::bind(const std::string& property, Value value) {
@@ -56,6 +109,7 @@ Core& Core::bind(const std::string& property, Value value) {
 }
 
 std::optional<Value> Core::binding(const std::string& property) const {
+  loaded();
   const auto it = std::lower_bound(
       bindings_.begin(), bindings_.end(), property,
       [](const CoreBinding& b, const std::string& p) { return *b.name < p; });
@@ -64,6 +118,7 @@ std::optional<Value> Core::binding(const std::string& property) const {
 }
 
 const Value* Core::binding(support::Symbol property) const {
+  loaded();
   for (const CoreBinding& b : bindings_) {
     if (b.symbol == property) return &b.value;
   }
@@ -85,6 +140,7 @@ Core& Core::set_metric(const std::string& name, double value) {
 }
 
 std::optional<double> Core::metric(const std::string& name) const {
+  loaded();
   const auto it =
       std::lower_bound(metrics_.begin(), metrics_.end(), name,
                        [](const CoreMetric& m, const std::string& n) { return *m.name < n; });
@@ -111,6 +167,7 @@ void Core::adopt(std::vector<CoreBinding> bindings, std::vector<CoreMetric> metr
 }
 
 std::string Core::describe() const {
+  loaded();
   std::ostringstream os;
   os << name_ << " [" << *library_ << "] class=" << *class_path_;
   for (const CoreBinding& b : bindings_) os << " " << *b.name << "=" << b.value.to_string();
@@ -124,6 +181,15 @@ ReuseLibrary::ReuseLibrary(std::string name) : name_(std::move(name)) {
 }
 
 Core& ReuseLibrary::add(Core core) {
+  if (!names_indexed_) {
+    // First add to a restored library: index the slots' names straight
+    // from their records, filling none of them.
+    names_.reserve(size() + 1);
+    for (std::size_t i = 0; i < restored_count_; ++i) {
+      names_.insert(source_->name(restored_[i].record_));
+    }
+    names_indexed_ = true;
+  }
   core.library_ = interned_name_;  // interned once at construction, not per core
   cores_.push_back(std::move(core));
   // Single hash op on the stored name (the deque slot is stable); a
@@ -137,11 +203,33 @@ Core& ReuseLibrary::add(Core core) {
   return cores_.back();
 }
 
-void ReuseLibrary::reserve(std::size_t count) { names_.reserve(cores_.size() + count); }
+std::span<const Core> ReuseLibrary::restore(std::shared_ptr<const CoreSource> source,
+                                            const std::vector<std::uint64_t>& records) {
+  DSLAYER_REQUIRE(size() == 0, "only an empty library can be restored");
+  source_ = std::move(source);
+  restored_count_ = records.size();
+  restored_.reset(new Core[restored_count_]);
+  for (std::size_t i = 0; i < restored_count_; ++i) {
+    Core& slot = restored_[i];
+    slot.library_ = interned_name_;
+    slot.source_ = source_.get();
+    slot.record_ = records[i];
+    slot.filled_.store(false, std::memory_order_relaxed);
+  }
+  names_indexed_ = restored_count_ == 0;
+  return {restored_.get(), restored_count_};
+}
+
+void ReuseLibrary::reserve(std::size_t count) { names_.reserve(size() + count); }
+
+std::size_t ReuseLibrary::hydrated() const {
+  return cores_.size() + (source_ != nullptr ? source_->filled() : 0);
+}
 
 std::vector<const Core*> ReuseLibrary::cores() const {
   std::vector<const Core*> out;
-  out.reserve(cores_.size());
+  out.reserve(size());
+  for (std::size_t i = 0; i < restored_count_; ++i) out.push_back(&restored_[i]);
   for (const Core& c : cores_) out.push_back(&c);
   return out;
 }

@@ -147,13 +147,25 @@ void DesignSpaceLayer::install_filter_plan(const Cdo& cdo, CoreTable table) cons
   ++plan_generation_;
 }
 
-void DesignSpaceLayer::clear_catalog() {
+DesignSpaceLayer::RetiredCatalog DesignSpaceLayer::clear_catalog() {
+  RetiredCatalog retired{std::move(libraries_), std::move(index_), std::move(subtree_index_),
+                         std::move(filter_plans_)};
   libraries_.clear();
   index_.clear();
   subtree_index_.clear();
   filter_plans_.clear();
   ++plan_generation_;
   index_warnings_.clear();
+  return retired;
+}
+
+DesignSpaceLayer::CatalogCounts DesignSpaceLayer::catalog_counts() const {
+  CatalogCounts counts;
+  for (const auto& lib : libraries_) {
+    counts.cores += lib->size();
+    counts.hydrated += lib->hydrated();
+  }
+  return counts;
 }
 
 const std::vector<const Core*>& DesignSpaceLayer::build_subtree_index(const Cdo& cdo) const {

@@ -111,10 +111,30 @@ class DesignSpaceLayer {
   /// constraints). Replaces any cached plan.
   void install_filter_plan(const Cdo& cdo, CoreTable table) const;
 
+  /// What clear_catalog() detached: the libraries and every index and
+  /// plan built over them. Destroying a hydrated million-core catalog
+  /// takes hundreds of milliseconds, so a caller holding a lock keeps
+  /// this and lets it die after the lock is released.
+  struct RetiredCatalog {
+    std::vector<std::unique_ptr<ReuseLibrary>> libraries;
+    std::map<const Cdo*, std::vector<const Core*>> index;
+    std::map<const Cdo*, std::vector<const Core*>> subtree_index;
+    std::map<const Cdo*, std::unique_ptr<CoreFilterPlan>> filter_plans;
+  };
+
   /// Drops every reuse library and all core indexes; the hierarchy,
   /// constraints, estimators, and domain hooks (all code) survive. The
-  /// `!restore` path reloads a snapshot into the emptied layer.
-  void clear_catalog();
+  /// `!restore` path reloads a snapshot into the emptied layer. Returns
+  /// what was dropped (see RetiredCatalog).
+  RetiredCatalog clear_catalog();
+
+  /// Catalog size gauges: cores attached, and how many of them hold
+  /// decoded data (born filled, or restored slots filled on first read).
+  struct CatalogCounts {
+    std::size_t cores = 0;
+    std::size_t hydrated = 0;
+  };
+  CatalogCounts catalog_counts() const;
 
   /// Cores indexed exactly at this CDO.
   const std::vector<const Core*>& cores_at(const Cdo& cdo) const;

@@ -35,6 +35,8 @@ void print_stats(const DirectiveContext& context, std::ostream& out) {
       << " migrations=" << ms.migrations << " migration_failures=" << ms.migration_failures
       << " restored=" << ms.restored << " restore_failures=" << ms.restore_failures << "\n";
   out << "simd: kernel=" << support::simd::to_string(support::simd::kernels().kind) << "\n";
+  const dsl::DesignSpaceLayer::CatalogCounts catalog = manager.shared().catalog_counts();
+  out << "catalog: cores=" << catalog.cores << " hydrated=" << catalog.hydrated << "\n";
   if (context.front_end) {
     // Serve/net parity: network-mode operators see connection-lifecycle
     // counters here, not only through `!metrics`.
@@ -150,15 +152,19 @@ bool run_directive(const DirectiveContext& context, const std::string& line, std
     }
     try {
       storage::BootReport report;
+      // Declared before the write so the replaced catalog is freed after
+      // the writer lock is released, not while readers wait on it.
+      dsl::DesignSpaceLayer::RetiredCatalog retired;
       // A writer epoch: sessions migrate off the discarded state by
       // journal replay on their next command. kPreserve keeps the
       // snapshot-restored index instead of re-deriving it.
       const std::uint64_t epoch = manager.shared().write(
-          [&](dsl::DesignSpaceLayer&) { report = context.durable->reload(); },
+          [&](dsl::DesignSpaceLayer&) { report = context.durable->reload(&retired); },
           SharedLayer::Reindex::kPreserve);
       out << "restored: snapshot=" << (report.loaded_snapshot ? "yes" : "no")
           << " replayed=" << report.replayed_records << " skipped=" << report.skipped_records
-          << " cores=" << report.snapshot.cores << " epoch=" << epoch << "\n";
+          << " cores=" << report.snapshot.cores << " epoch=" << epoch
+          << " lock_ms=" << format_double(manager.shared().last_write_hold_ms(), 4) << "\n";
     } catch (const Error& e) {
       out << "error: restore failed: " << e.what() << "\n";
       return false;

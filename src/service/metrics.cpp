@@ -146,6 +146,14 @@ std::string render_metrics(SessionManager& manager, RequestExecutor& executor,
   out += "\"} 1\n";
 
   const SessionManager::Stats ms = manager.stats();
+  const dsl::DesignSpaceLayer::CatalogCounts catalog = manager.shared().catalog_counts();
+  family(out, "dslayer_catalog_cores", "Cores attached to the layer's reuse libraries.", "gauge");
+  sample(out, "dslayer_catalog_cores", static_cast<std::uint64_t>(catalog.cores));
+  family(out, "dslayer_catalog_hydrated_cores",
+         "Cores holding decoded data: built in memory, or snapshot slots filled on first read.",
+         "gauge");
+  sample(out, "dslayer_catalog_hydrated_cores", static_cast<std::uint64_t>(catalog.hydrated));
+
   family(out, "dslayer_sessions_live", "Sessions currently open.", "gauge");
   sample(out, "dslayer_sessions_live", static_cast<std::uint64_t>(manager.session_count()));
   family(out, "dslayer_sessions_created_total", "Sessions created on first use.", "counter");

@@ -36,6 +36,19 @@ std::shared_lock<std::shared_timed_mutex> SharedLayer::read_lock_or_unavailable(
           "ms) — retry after the update publishes"));
 }
 
+dsl::DesignSpaceLayer::CatalogCounts SharedLayer::catalog_counts() const {
+  std::shared_lock<std::shared_timed_mutex> lock(mutex_, std::try_to_lock);
+  if (lock.owns_lock()) remember_catalog_counts();
+  return {last_cores_.load(std::memory_order_relaxed),
+          last_hydrated_.load(std::memory_order_relaxed)};
+}
+
+void SharedLayer::remember_catalog_counts() const {
+  const dsl::DesignSpaceLayer::CatalogCounts counts = layer_->catalog_counts();
+  last_cores_.store(counts.cores, std::memory_order_relaxed);
+  last_hydrated_.store(counts.hydrated, std::memory_order_relaxed);
+}
+
 void SharedLayer::reindex_and_prime(bool inject, Reindex reindex) {
   if (inject) DSLAYER_FAILPOINT("service.shared_layer.prime");
   if (reindex == Reindex::kFull) layer_->index_cores();
@@ -49,6 +62,7 @@ void SharedLayer::reindex_and_prime(bool inject, Reindex reindex) {
     // programs) too, so post-publish candidate queries are pure hits.
     (void)layer_->filter_plan(*cdo);
   }
+  remember_catalog_counts();
 }
 
 }  // namespace dslayer::service

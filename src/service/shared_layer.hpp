@@ -87,6 +87,16 @@ class SharedLayer {
   /// when no writer is active. Thread-safe; monotonic-clock based.
   double writer_stall_ms() const;
 
+  /// How long the most recent write() held the exclusive lock, in ms.
+  double last_write_hold_ms() const {
+    return static_cast<double>(last_hold_ns_.load(std::memory_order_acquire)) / 1e6;
+  }
+
+  /// The layer's catalog gauges (cores, hydrated cores) for `!stats` and
+  /// `!metrics`. Never waits: while a writer holds the layer it returns
+  /// the figures of the last call that got the read lock.
+  dsl::DesignSpaceLayer::CatalogCounts catalog_counts() const;
+
   /// The wrapped layer. Const: readers cannot mutate it by construction.
   const dsl::DesignSpaceLayer& layer() const { return *layer_; }
 
@@ -136,7 +146,10 @@ class SharedLayer {
     explicit WriterMark(const SharedLayer& owner) : owner_(owner) {
       owner_.writer_since_ns_.store(now_ns(), std::memory_order_release);
     }
-    ~WriterMark() { owner_.writer_since_ns_.store(0, std::memory_order_release); }
+    ~WriterMark() {
+      const std::int64_t since = owner_.writer_since_ns_.exchange(0, std::memory_order_acq_rel);
+      owner_.last_hold_ns_.store(now_ns() - since, std::memory_order_release);
+    }
     const SharedLayer& owner_;
   };
 
@@ -149,6 +162,10 @@ class SharedLayer {
   /// re-fire into its own cleanup.
   void reindex_and_prime(bool inject, Reindex reindex);
 
+  /// Reads the layer's catalog counts into last_cores_/last_hydrated_.
+  /// Caller holds the lock, shared or exclusive.
+  void remember_catalog_counts() const;
+
   std::uint64_t publish_next_epoch() {
     const std::uint64_t next = epoch_.load(std::memory_order_relaxed) + 1;
     epoch_.store(next, std::memory_order_release);
@@ -159,6 +176,9 @@ class SharedLayer {
   mutable std::shared_timed_mutex mutex_;
   std::atomic<std::uint64_t> epoch_{0};
   mutable std::atomic<std::int64_t> writer_since_ns_{0};
+  mutable std::atomic<std::int64_t> last_hold_ns_{0};
+  mutable std::atomic<std::size_t> last_cores_{0};
+  mutable std::atomic<std::size_t> last_hydrated_{0};
 };
 
 }  // namespace dslayer::service

@@ -196,6 +196,26 @@ CatalogRecord decode_record(std::string_view payload) {
   return record;
 }
 
+dsl::ConsistencyConstraint constraint_from_record(const CatalogRecord& record) {
+  std::vector<dsl::PropertyPath> independent;
+  independent.reserve(record.independent.size());
+  for (const std::string& p : record.independent) {
+    independent.push_back(dsl::PropertyPath::parse(p));
+  }
+  std::vector<dsl::PropertyPath> dependent;
+  dependent.reserve(record.dependent.size());
+  for (const std::string& p : record.dependent) {
+    dependent.push_back(dsl::PropertyPath::parse(p));
+  }
+  return record.dominance
+             ? dsl::ConsistencyConstraint::dominance_when(record.id, record.doc,
+                                                          std::move(independent),
+                                                          std::move(dependent), record.atoms)
+             : dsl::ConsistencyConstraint::inconsistent_when(record.id, record.doc,
+                                                             std::move(independent),
+                                                             std::move(dependent), record.atoms);
+}
+
 void apply_record(dsl::DesignSpaceLayer& layer, const CatalogRecord& record) {
   switch (record.kind) {
     case CatalogRecord::Kind::kAddCores: {
@@ -231,28 +251,9 @@ void apply_record(dsl::DesignSpaceLayer& layer, const CatalogRecord& record) {
       }
       break;
     }
-    case CatalogRecord::Kind::kAddConstraint: {
-      std::vector<dsl::PropertyPath> independent;
-      independent.reserve(record.independent.size());
-      for (const std::string& p : record.independent) {
-        independent.push_back(dsl::PropertyPath::parse(p));
-      }
-      std::vector<dsl::PropertyPath> dependent;
-      dependent.reserve(record.dependent.size());
-      for (const std::string& p : record.dependent) {
-        dependent.push_back(dsl::PropertyPath::parse(p));
-      }
-      layer.add_constraint(
-          record.dominance
-              ? dsl::ConsistencyConstraint::dominance_when(record.id, record.doc,
-                                                           std::move(independent),
-                                                           std::move(dependent), record.atoms)
-              : dsl::ConsistencyConstraint::inconsistent_when(record.id, record.doc,
-                                                              std::move(independent),
-                                                              std::move(dependent),
-                                                              record.atoms));
+    case CatalogRecord::Kind::kAddConstraint:
+      layer.add_constraint(constraint_from_record(record));
       break;
-    }
     case CatalogRecord::Kind::kIndexCores:
       layer.index_cores();
       break;

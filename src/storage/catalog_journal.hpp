@@ -73,6 +73,10 @@ std::string encode_record(const CatalogRecord& record);
 /// Inverse of encode_record; throws StorageError on a malformed payload.
 CatalogRecord decode_record(std::string_view payload);
 
+/// The declarative constraint a kAddConstraint record describes, built
+/// without touching any layer (throws dsl errors on a malformed record).
+dsl::ConsistencyConstraint constraint_from_record(const CatalogRecord& record);
+
 /// Applies one record to a layer: kAddCores creates the library on first
 /// use and bulk-adopts the cores; kAddConstraint rebuilds the declarative
 /// constraint; kIndexCores runs layer.index_cores(). Throws (dsl errors

@@ -121,6 +121,23 @@ class Decoder {
     throw StorageError("codec: bad value kind tag");
   }
 
+  /// Steps over one tagged Value, checking its tag and lengths exactly as
+  /// value() would, without building it.
+  void skip_value() {
+    switch (static_cast<dsl::Value::Kind>(u8())) {
+      case dsl::Value::Kind::kEmpty: return;
+      case dsl::Value::Kind::kNumber: skip(8); return;
+      case dsl::Value::Kind::kText: skip(u32()); return;
+      case dsl::Value::Kind::kFlag: skip(1); return;
+    }
+    throw StorageError("codec: bad value kind tag");
+  }
+
+  void skip(std::size_t n) {
+    require(n);
+    pos_ += n;
+  }
+
   std::size_t remaining() const { return data_.size() - pos_; }
   bool done() const { return pos_ == data_.size(); }
   std::size_t position() const { return pos_; }

@@ -30,28 +30,43 @@ DurableCatalog::DurableCatalog(dsl::DesignSpaceLayer& layer, DurableOptions opti
     : layer_(layer), options_(std::move(options)) {
   DSLAYER_REQUIRE(!options_.dir.empty(), "durable catalog needs a data directory");
   ensure_directory(options_.dir);
-  boot_ = boot(/*clear_layer=*/false);
+  boot_ = boot(/*clear_layer=*/false, nullptr);
 }
 
-const BootReport& DurableCatalog::reload() {
+const BootReport& DurableCatalog::reload(dsl::DesignSpaceLayer::RetiredCatalog* retired) {
+  const std::uint64_t sequence = sequence_;
+  std::vector<CatalogRecord> constraint_records = constraint_records_;
   wal_.reset();  // release the append fd before recovery re-scans the file
-  boot_ = boot(/*clear_layer=*/true);
+  try {
+    boot_ = boot(/*clear_layer=*/true, retired);
+  } catch (...) {
+    // Keep appending where the journal left off: resetting the sequence
+    // would number new frames at or below the snapshot's absorbed mark,
+    // and the next boot would skip them.
+    sequence_ = sequence;
+    constraint_records_ = std::move(constraint_records);
+    if (wal_ == nullptr) wal_ = std::make_unique<WalWriter>(wal_path(), options_.wal);
+    throw;
+  }
   return boot_;
 }
 
-BootReport DurableCatalog::boot(bool clear_layer) {
+BootReport DurableCatalog::boot(bool clear_layer,
+                                dsl::DesignSpaceLayer::RetiredCatalog* retired) {
   BootReport report;
   sequence_ = 0;
 
   if (path_exists(snapshot_path())) {
-    report.snapshot = load_snapshot(layer_, snapshot_path(),
-                                    {.verify_payloads = options_.verify_snapshot_payloads});
+    report.snapshot =
+        load_snapshot(layer_, snapshot_path(),
+                      {.verify_payloads = options_.verify_snapshot_payloads}, retired);
     report.loaded_snapshot = true;
     sequence_ = report.snapshot.journal_seq;
   } else if (clear_layer) {
     // `!restore` without a snapshot: the journal is the whole history, so
     // replay must start from an empty catalog, not the live one.
-    layer_.clear_catalog();
+    dsl::DesignSpaceLayer::RetiredCatalog replaced = layer_.clear_catalog();
+    if (retired != nullptr) *retired = std::move(replaced);
   }
 
   // The snapshot carries the constraint records it absorbed; they seed

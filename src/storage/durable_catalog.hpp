@@ -61,8 +61,11 @@ class DurableCatalog {
   /// published snapshot (or clears the catalog when none exists), replays
   /// the journal tail, and reopens the journal. The `!restore` directive
   /// runs this inside a SharedLayer writer epoch so every session
-  /// migrates off the discarded state.
-  const BootReport& reload();
+  /// migrates off the discarded state, and passes `retired` so the old
+  /// catalog is freed after that epoch releases its lock. A snapshot that
+  /// fails to load leaves the layer, the journal position and the open
+  /// journal as they were.
+  const BootReport& reload(dsl::DesignSpaceLayer::RetiredCatalog* retired = nullptr);
 
   /// Applies the mutation to the layer, then journals it. Returns after
   /// the frame is on disk per the configured sync mode.
@@ -83,7 +86,7 @@ class DurableCatalog {
 
  private:
   /// Snapshot load (or catalog clear) + journal replay + writer open.
-  BootReport boot(bool clear_layer);
+  BootReport boot(bool clear_layer, dsl::DesignSpaceLayer::RetiredCatalog* retired);
 
   dsl::DesignSpaceLayer& layer_;
   DurableOptions options_;

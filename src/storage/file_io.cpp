@@ -8,6 +8,7 @@
 
 #include <algorithm>
 #include <cerrno>
+#include <cstdint>
 #include <cstring>
 #include <utility>
 
@@ -253,6 +254,14 @@ MappedFile MappedFile::map(const std::string& path) {
   m.data_ = static_cast<const char*>(p);
   m.size_ = size;
   return m;
+}
+
+void MappedFile::drop_pages(std::string_view range) const {
+  const auto page = static_cast<std::uintptr_t>(::sysconf(_SC_PAGESIZE));
+  const auto begin = (reinterpret_cast<std::uintptr_t>(range.data()) + page - 1) & ~(page - 1);
+  const auto end = (reinterpret_cast<std::uintptr_t>(range.data()) + range.size()) & ~(page - 1);
+  // Advisory: a failure only leaves the pages resident.
+  if (end > begin) (void)::madvise(reinterpret_cast<void*>(begin), end - begin, MADV_DONTNEED);
 }
 
 }  // namespace dslayer::storage

@@ -98,6 +98,11 @@ class MappedFile {
   std::size_t size() const { return size_; }
   std::string_view view() const { return {data_, size_}; }
 
+  /// Drops the whole pages inside `range` (a view into this mapping) from
+  /// the process's resident set. The mapping stays valid: a later read
+  /// faults the page back in from the page cache.
+  void drop_pages(std::string_view range) const;
+
  private:
   const char* data_ = nullptr;
   std::size_t size_ = 0;

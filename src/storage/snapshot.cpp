@@ -3,6 +3,8 @@
 #include <chrono>
 #include <cstring>
 #include <memory>
+#include <optional>
+#include <span>
 #include <unordered_map>
 #include <utility>
 #include <vector>
@@ -127,13 +129,6 @@ struct ParsedFile {
     if (required) throw StorageError(cat("snapshot: missing section ", tag));
     return {};
   }
-
-  const DirEntry* entry(std::uint32_t tag) const {
-    for (const DirEntry& e : directory) {
-      if (e.tag == tag) return &e;
-    }
-    return nullptr;
-  }
 };
 
 ParsedFile parse_file(const std::string& path, bool verify_payloads) {
@@ -207,8 +202,12 @@ struct SymbolRemap {
 
   /// (live symbol, interned spelling) without any lock or hash.
   std::pair<support::Symbol, const std::string*> resolve(support::Symbol snap) const {
-    if (snap >= map.size()) throw StorageError("snapshot: symbol id out of range");
+    check(snap);
     return {map[snap], spelling[snap]};
+  }
+
+  void check(support::Symbol snap) const {
+    if (snap >= map.size()) throw StorageError("snapshot: symbol id out of range");
   }
 };
 
@@ -226,6 +225,133 @@ SymbolRemap build_remap(std::string_view symbols_section) {
   }
   return remap;
 }
+
+/// Decodes one kCores record (the cursor sits at its name) into a Core.
+/// The record was validated by walk_cores(), so this does not throw on
+/// data the loader accepted.
+dsl::Core decode_core(Decoder& d, const SymbolRemap& remap) {
+  std::string core_name(d.str());
+  const auto [class_symbol, class_path] = remap.resolve(d.u32());
+  (void)d.u32();  // indexed cdo id: consumed by the walk
+  dsl::Core core = dsl::Core::restored(std::move(core_name), class_symbol, class_path);
+  const std::uint32_t bindings = d.u32();
+  std::vector<dsl::CoreBinding> adopted_bindings;
+  adopted_bindings.reserve(bindings);
+  for (std::uint32_t i = 0; i < bindings; ++i) {
+    const auto [symbol, name] = remap.resolve(d.u32());
+    adopted_bindings.push_back({symbol, name, d.value()});
+  }
+  const std::uint32_t metrics = d.u32();
+  std::vector<dsl::CoreMetric> adopted_metrics;
+  adopted_metrics.reserve(metrics);
+  for (std::uint32_t i = 0; i < metrics; ++i) {
+    const auto [symbol, name] = remap.resolve(d.u32());
+    adopted_metrics.push_back({symbol, name, d.f64()});
+  }
+  core.adopt(std::move(adopted_bindings), std::move(adopted_metrics));
+  const std::uint32_t views = d.u32();
+  for (std::uint32_t i = 0; i < views; ++i) {
+    std::string level(d.str());
+    std::string artifact(d.str());
+    core.add_view(std::move(level), std::move(artifact));
+  }
+  return core;
+}
+
+/// The restored slots of one library decode from the mapped kCores
+/// section; the mapping and remap live as long as any library using them.
+class SnapshotCores final : public dsl::CoreSource {
+ public:
+  SnapshotCores(std::shared_ptr<MappedFile> mapping, std::string_view section,
+                std::shared_ptr<const SymbolRemap> remap)
+      : mapping_(std::move(mapping)), section_(section), remap_(std::move(remap)) {}
+
+  dsl::Core decode(std::uint64_t record) const override {
+    Decoder d(section_.substr(record));
+    return decode_core(d, *remap_);
+  }
+
+  std::string_view name(std::uint64_t record) const override {
+    return Decoder(section_.substr(record)).str();
+  }
+
+ private:
+  std::shared_ptr<MappedFile> mapping_;
+  std::string_view section_;
+  std::shared_ptr<const SymbolRemap> remap_;
+};
+
+/// One library of the kCores walk: its name and, per core, the record
+/// offset (into the section) and indexed cdo id.
+struct WalkedLibrary {
+  std::string name;
+  std::vector<std::uint64_t> records;
+  std::vector<std::uint32_t> cdo_ids;
+};
+
+/// The one pass over kCores a boot makes: records where each core starts
+/// and which CDO it is indexed at, and checks everything decode_core()
+/// would otherwise trip on at first read — every length, value-kind tag
+/// and symbol id, a non-empty core name, an in-range cdo id — plus
+/// distinct library names. Builds no Core.
+std::vector<WalkedLibrary> walk_cores(std::string_view section, const SymbolRemap& remap,
+                                      std::size_t cdo_count, const std::string& path) {
+  Decoder d(section);
+  const std::uint32_t library_count = d.u32();
+  // Counts are checked against the bytes left before they size anything:
+  // a library takes at least 12 bytes, a core record at least 24.
+  if (library_count > d.remaining() / 12) {
+    throw StorageError(cat("snapshot '", path, "': library count runs past the section"));
+  }
+  std::vector<WalkedLibrary> libraries;
+  libraries.reserve(library_count);
+  for (std::uint32_t l = 0; l < library_count; ++l) {
+    WalkedLibrary& library = libraries.emplace_back();
+    library.name = std::string(d.str());
+    for (std::uint32_t prior = 0; prior < l; ++prior) {
+      if (libraries[prior].name == library.name) {
+        throw StorageError(cat("snapshot '", path, "': library '", library.name,
+                               "' appears twice"));
+      }
+    }
+    const std::uint64_t cores = d.u64();
+    if (cores > d.remaining() / 24) {
+      throw StorageError(cat("snapshot '", path, "': core count runs past the section"));
+    }
+    library.records.reserve(cores);
+    library.cdo_ids.reserve(cores);
+    for (std::uint64_t c = 0; c < cores; ++c) {
+      library.records.push_back(d.position());
+      if (d.str().empty()) throw StorageError(cat("snapshot '", path, "': empty core name"));
+      remap.check(d.u32());
+      const std::uint32_t cdo_id = d.u32();
+      if (cdo_id != kNoCdo && cdo_id >= cdo_count) {
+        throw StorageError(cat("snapshot '", path, "': cdo id out of range"));
+      }
+      library.cdo_ids.push_back(cdo_id);
+      for (std::uint32_t i = 0, n = d.u32(); i < n; ++i) {
+        remap.check(d.u32());
+        d.skip_value();
+      }
+      for (std::uint32_t i = 0, n = d.u32(); i < n; ++i) {
+        remap.check(d.u32());
+        d.skip(8);
+      }
+      for (std::uint32_t i = 0, n = d.u32(); i < n; ++i) {
+        d.skip(d.u32());
+        d.skip(d.u32());
+      }
+    }
+  }
+  return libraries;
+}
+
+/// A kTables entry decoded and checked, waiting to be installed.
+struct PendingTable {
+  const dsl::Cdo* cdo = nullptr;
+  std::vector<dsl::CoreTable::Column> binding_columns;
+  std::vector<dsl::CoreTable::Column> metric_columns;
+};
 
 }  // namespace
 
@@ -287,11 +413,15 @@ SnapshotWriteReport write_snapshot(const dsl::DesignSpaceLayer& layer, const std
       e.str(library->name());
       const std::vector<const dsl::Core*> cores = library->cores();
       e.u64(cores.size());
-      for (const dsl::Core* core : cores) {
+      std::optional<dsl::Core> scratch;
+      for (const dsl::Core* slot : cores) {
+        // peek(): an unfilled slot is encoded from a scratch decode, so a
+        // checkpoint leaves the catalog exactly as hydrated as it was.
+        const dsl::Core* core = &slot->peek(scratch);
         ++report.cores;
         e.str(core->name());
         e.u32(core->class_symbol());
-        const auto it = core_cdo.find(core);
+        const auto it = core_cdo.find(slot);
         e.u32(it == core_cdo.end() ? kNoCdo : it->second);
         e.u32(static_cast<std::uint32_t>(core->bindings().size()));
         for (const dsl::CoreBinding& b : core->bindings()) {
@@ -422,7 +552,8 @@ SnapshotWriteReport write_snapshot(const dsl::DesignSpaceLayer& layer, const std
 }
 
 SnapshotLoadReport load_snapshot(dsl::DesignSpaceLayer& layer, const std::string& path,
-                                 const SnapshotLoadOptions& options) {
+                                 const SnapshotLoadOptions& options,
+                                 dsl::DesignSpaceLayer::RetiredCatalog* retired) {
   SnapshotLoadReport report;
   auto mark = std::chrono::steady_clock::now();
   const auto lap = [&mark] {
@@ -433,6 +564,9 @@ SnapshotLoadReport load_snapshot(dsl::DesignSpaceLayer& layer, const std::string
   };
   ParsedFile file = parse_file(path, options.verify_payloads);
   report.phases.open_ms = lap();
+
+  // Everything up to the clear_catalog() below only reads the file: a
+  // snapshot that fails any check leaves the live catalog untouched.
 
   // kLayerInfo: refuse to load against a different layer build.
   std::uint64_t expected_cores = 0;
@@ -455,8 +589,8 @@ SnapshotLoadReport load_snapshot(dsl::DesignSpaceLayer& layer, const std::string
     report.journal_seq = d.u64();
   }
 
-  const SymbolRemap remap = build_remap(file.section(kSymbols));
-  report.symbol_identity = remap.identity;
+  const auto remap = std::make_shared<const SymbolRemap>(build_remap(file.section(kSymbols)));
+  report.symbol_identity = remap->identity;
 
   // kCdoPaths -> live Cdo pointers.
   std::vector<const dsl::Cdo*> cdos;
@@ -476,112 +610,94 @@ SnapshotLoadReport load_snapshot(dsl::DesignSpaceLayer& layer, const std::string
 
   report.phases.symbols_ms = lap();
 
-  // kCores: rebuild libraries and the index assignment list.
-  layer.clear_catalog();
-  std::vector<std::pair<const dsl::Core*, const dsl::Cdo*>> assignments;
-  assignments.reserve(expected_cores);
-  {
-    Decoder d(file.section(kCores));
-    const std::uint32_t libraries = d.u32();
-    for (std::uint32_t l = 0; l < libraries; ++l) {
-      dsl::ReuseLibrary& library = layer.add_library(std::string(d.str()));
-      const std::uint64_t cores = d.u64();
-      library.reserve(cores);
-      for (std::uint64_t c = 0; c < cores; ++c) {
-        std::string core_name(d.str());
-        const auto [class_symbol, class_path] = remap.resolve(d.u32());
-        const std::uint32_t cdo_id = d.u32();
-        dsl::Core core = dsl::Core::restored(std::move(core_name), class_symbol, class_path);
-        const std::uint32_t bindings = d.u32();
-        std::vector<dsl::CoreBinding> adopted_bindings;
-        adopted_bindings.reserve(bindings);
-        for (std::uint32_t i = 0; i < bindings; ++i) {
-          const auto [symbol, name] = remap.resolve(d.u32());
-          adopted_bindings.push_back({symbol, name, d.value()});
-        }
-        const std::uint32_t metrics = d.u32();
-        std::vector<dsl::CoreMetric> adopted_metrics;
-        adopted_metrics.reserve(metrics);
-        for (std::uint32_t i = 0; i < metrics; ++i) {
-          const auto [symbol, name] = remap.resolve(d.u32());
-          adopted_metrics.push_back({symbol, name, d.f64()});
-        }
-        core.adopt(std::move(adopted_bindings), std::move(adopted_metrics));
-        const std::uint32_t views = d.u32();
-        for (std::uint32_t i = 0; i < views; ++i) {
-          std::string level(d.str());
-          std::string artifact(d.str());
-          core.add_view(std::move(level), std::move(artifact));
-        }
-        const dsl::Core& stored = library.add(std::move(core));
-        ++report.cores;
-        if (cdo_id != kNoCdo) {
-          if (cdo_id >= cdos.size()) {
-            throw StorageError(cat("snapshot '", path, "': cdo id out of range"));
-          }
-          assignments.emplace_back(&stored, cdos[cdo_id]);
-        }
-      }
+  // kCores: one validating walk; the cores stay in the file until read.
+  const std::string_view cores_section = file.section(kCores);
+  std::vector<WalkedLibrary> libraries = walk_cores(cores_section, *remap, cdos.size(), path);
+  std::vector<std::uint64_t> indexed_at(cdos.size(), 0);  // cores per cdo id
+  for (const WalkedLibrary& library : libraries) {
+    report.cores += library.records.size();
+    for (const std::uint32_t cdo_id : library.cdo_ids) {
+      if (cdo_id != kNoCdo) ++indexed_at[cdo_id];
     }
   }
   if (report.cores != expected_cores) {
     throw StorageError(cat("snapshot '", path, "': core count mismatch (directory says ",
                            expected_cores, ", decoded ", report.cores, ")"));
   }
+  // The walk touched every page of the section; first reads fault back in
+  // only the records they decode.
+  file.mapping->drop_pages(cores_section);
   report.phases.cores_ms = lap();
-  layer.restore_index(assignments);
-  report.phases.index_ms = lap();
 
-  // kConstraints: re-apply the journaled declarative constraints. Applied
-  // idempotently (a reload's layer still carries them — clear_catalog()
-  // leaves constraints alone) and BEFORE the tables are installed, since
-  // add_constraint() invalidates every filter plan.
+  // kConstraints: decoded and built here, added after the clear.
+  std::vector<dsl::ConsistencyConstraint> constraints;
   {
     const std::string_view section = file.section(kConstraints, /*required=*/false);
     if (!section.empty()) {
       Decoder d(section);
       const std::uint32_t count = d.u32();
-      report.constraint_records.reserve(count);
       for (std::uint32_t i = 0; i < count; ++i) {
         CatalogRecord record = decode_record(d.str());
         if (record.kind != CatalogRecord::Kind::kAddConstraint) {
           throw StorageError(cat("snapshot '", path, "': non-constraint record in kConstraints"));
         }
-        if (!layer_has_constraint(layer, record.id)) apply_record(layer, record);
+        // Idempotent: a reload's layer still carries its constraints
+        // (clear_catalog() leaves them alone).
+        if (!layer_has_constraint(layer, record.id)) {
+          constraints.push_back(constraint_from_record(record));
+        }
         report.constraint_records.push_back(std::move(record));
       }
     }
   }
 
-  // kTables: rebuild the primed filter plans, aliasing payloads in place.
+  // kTables: decode the persisted filter plans, aliasing payloads in place.
+  std::vector<PendingTable> tables;
   {
     const std::string_view payload = file.section(kTablePayload);
     Decoder d(file.section(kTables));
-    const std::uint32_t tables = d.u32();
+    const std::uint32_t count = d.u32();
     const auto take_chunk = [&](std::uint64_t off, std::uint64_t bytes) {
       if (off + bytes > payload.size()) {
         throw StorageError(cat("snapshot '", path, "': table payload out of range"));
       }
       return payload.data() + off;
     };
-    for (std::uint32_t t = 0; t < tables; ++t) {
+    for (std::uint32_t t = 0; t < count; ++t) {
       const std::uint32_t cdo_id = d.u32();
       if (cdo_id >= cdos.size()) {
         throw StorageError(cat("snapshot '", path, "': table cdo id out of range"));
       }
-      const dsl::Cdo& cdo = *cdos[cdo_id];
+      PendingTable& table = tables.emplace_back();
+      table.cdo = cdos[cdo_id];
       const std::uint64_t rows = d.u64();
       const std::uint64_t words = (rows + 63) / 64;
       const std::uint64_t padded = words * 64;
       const std::uint32_t binding_count = d.u32();
       const std::uint32_t metric_count = d.u32();
 
-      const auto decode_columns = [&](std::uint32_t count) {
+      // Row identity: the table was built over cores_under(cdo) at write
+      // time, which restore_index() reproduces from the walked cdo ids.
+      std::uint64_t under = 0;
+      for (std::size_t id = 0; id < cdos.size(); ++id) {
+        for (const dsl::Cdo* at = cdos[id]; at != nullptr; at = at->parent()) {
+          if (at == table.cdo) {
+            under += indexed_at[id];
+            break;
+          }
+        }
+      }
+      if (under != rows) {
+        throw StorageError(cat("snapshot '", path, "': table row count mismatch for '",
+                               table.cdo->path(), "' (table ", rows, ", index ", under, ")"));
+      }
+
+      const auto decode_columns = [&](std::uint32_t column_count) {
         std::vector<dsl::CoreTable::Column> columns;
-        columns.reserve(count);
-        for (std::uint32_t i = 0; i < count; ++i) {
+        columns.reserve(column_count);
+        for (std::uint32_t i = 0; i < column_count; ++i) {
           dsl::CoreTable::Column column;
-          column.symbol = remap(d.u32());
+          column.symbol = (*remap)(d.u32());
           column.kind = static_cast<dsl::CoreTable::ColumnKind>(d.u8());
           const std::uint64_t present_off = d.u64();
           const std::uint64_t present_bytes = d.u64();
@@ -605,47 +721,60 @@ SnapshotLoadReport load_snapshot(dsl::DesignSpaceLayer& layer, const std::string
             }
             const auto* raw =
                 reinterpret_cast<const support::Symbol*>(take_chunk(data_off, data_bytes));
-            if (remap.identity) {
+            if (remap->identity) {
               column.texts.alias(raw, padded);
             } else {
               // A different intern order: rewrite through the remap into
               // an owned buffer (correctness path; the identity alias is
               // the common case).
               std::vector<support::Symbol> rewritten(padded);
-              for (std::uint64_t r = 0; r < padded; ++r) rewritten[r] = remap(raw[r]);
+              for (std::uint64_t r = 0; r < padded; ++r) rewritten[r] = (*remap)(raw[r]);
               column.texts = std::move(rewritten);
             }
           } else {
             throw StorageError(cat("snapshot '", path, "': unexpected mixed column"));
           }
           report.aliased_bytes += present_bytes;
-          if (column.kind != dsl::CoreTable::ColumnKind::kText || remap.identity) {
+          if (column.kind != dsl::CoreTable::ColumnKind::kText || remap->identity) {
             report.aliased_bytes += data_bytes;
           }
           columns.push_back(std::move(column));
         }
         return columns;
       };
-
-      std::vector<dsl::CoreTable::Column> binding_columns = decode_columns(binding_count);
-      std::vector<dsl::CoreTable::Column> metric_columns = decode_columns(metric_count);
-
-      // Row identity: the table was built over cores_under(cdo) at write
-      // time, and restore_index() reproduced that exact order.
-      const std::vector<const dsl::Core*>& under = layer.cores_under(cdo);
-      if (under.size() != rows) {
-        throw StorageError(cat("snapshot '", path, "': table row count mismatch for '",
-                               cdo.path(), "' (table ", rows, ", index ", under.size(), ")"));
-      }
-      layer.install_filter_plan(
-          cdo, dsl::CoreTable(under, std::move(binding_columns), std::move(metric_columns),
-                              file.mapping));
-      ++report.tables;
+      table.binding_columns = decode_columns(binding_count);
+      table.metric_columns = decode_columns(metric_count);
     }
   }
+  double tables_ms = lap();
 
-  report.phases.tables_ms = lap();
+  // First mutation: swap the catalog for unfilled slots over the walked
+  // records, and restore the index they were written with.
+  dsl::DesignSpaceLayer::RetiredCatalog replaced = layer.clear_catalog();
+  std::vector<std::pair<const dsl::Core*, const dsl::Cdo*>> assignments;
+  assignments.reserve(expected_cores);
+  for (WalkedLibrary& walked : libraries) {
+    dsl::ReuseLibrary& library = layer.add_library(std::move(walked.name));
+    const std::span<const dsl::Core> slots = library.restore(
+        std::make_shared<SnapshotCores>(file.mapping, cores_section, remap), walked.records);
+    for (std::size_t c = 0; c < slots.size(); ++c) {
+      if (walked.cdo_ids[c] != kNoCdo) assignments.emplace_back(&slots[c], cdos[walked.cdo_ids[c]]);
+    }
+  }
+  layer.restore_index(assignments);
+  report.phases.index_ms = lap();
+
+  // Constraints BEFORE the tables: add_constraint() drops every plan.
+  for (dsl::ConsistencyConstraint& cc : constraints) layer.add_constraint(std::move(cc));
+  for (PendingTable& table : tables) {
+    layer.install_filter_plan(
+        *table.cdo, dsl::CoreTable(layer.cores_under(*table.cdo), std::move(table.binding_columns),
+                                   std::move(table.metric_columns), file.mapping));
+    ++report.tables;
+  }
+  report.phases.tables_ms = tables_ms + lap();
   counters().snapshot_loads.add();
+  if (retired != nullptr) *retired = std::move(replaced);
   return report;
 }
 

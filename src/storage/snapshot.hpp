@@ -81,9 +81,9 @@ SnapshotWriteReport write_snapshot(const dsl::DesignSpaceLayer& layer, const std
 struct SnapshotLoadPhases {
   double open_ms = 0.0;         ///< mmap + header/directory verify (+ payload CRCs)
   double symbols_ms = 0.0;      ///< symbol intern + remap + CDO path resolve
-  double cores_ms = 0.0;        ///< kCores decode into libraries
-  double index_ms = 0.0;        ///< restore_index (core->CDO + subtree rollup)
-  double tables_ms = 0.0;       ///< constraints + filter plan install (mmap alias)
+  double cores_ms = 0.0;        ///< kCores record walk (validate, offsets, cdo ids)
+  double index_ms = 0.0;        ///< clear + restored slots + restore_index
+  double tables_ms = 0.0;       ///< constraints + filter plan decode/install (mmap alias)
 };
 
 struct SnapshotLoadReport {
@@ -109,9 +109,15 @@ struct SnapshotLoadOptions {
 /// hierarchy/constraints the snapshot was taken against (checked by
 /// fingerprint). Replaces the layer's libraries and index wholesale
 /// (clear_catalog + restore_index) and installs the persisted filter
-/// plans. The snapshot file stays mmapped for the life of the restored
-/// tables (CoreTable keepalive). Throws StorageError on any mismatch.
+/// plans. Builds no Core: each restored library holds unfilled slots over
+/// the mapped kCores records, filled on first read (dsl/core_library.hpp).
+/// The snapshot file stays mmapped for the life of those libraries and
+/// the restored tables. Throws StorageError on any mismatch; every check
+/// runs before the first change to `layer`, so a failed load leaves it as
+/// it was. The replaced catalog is moved to `retired` when given (so a
+/// caller holding a lock can free it afterwards), else freed here.
 SnapshotLoadReport load_snapshot(dsl::DesignSpaceLayer& layer, const std::string& path,
-                                 const SnapshotLoadOptions& options = {});
+                                 const SnapshotLoadOptions& options = {},
+                                 dsl::DesignSpaceLayer::RetiredCatalog* retired = nullptr);
 
 }  // namespace dslayer::storage

@@ -14,6 +14,7 @@
 #include "service/request_executor.hpp"
 #include "service/session_manager.hpp"
 #include "service/shared_layer.hpp"
+#include "snapshot_layout.hpp"
 #include "storage/counters.hpp"
 #include "storage/durable_catalog.hpp"
 #include "storage/file_io.hpp"
@@ -225,6 +226,86 @@ TEST(DurableDirectives, SnapshotAndRestoreRoundTrip) {
   EXPECT_NE(out.str().find("restored"), std::string::npos) << out.str();
   EXPECT_EQ(dsl::export_layer(*layer), journaled);
   EXPECT_TRUE(durable.boot_report().loaded_snapshot);
+}
+
+TEST(DurableDirectives, FailedRestoreLeavesTheCatalogUntouched) {
+  const std::string dir = scratch_dir("failed_restore");
+  auto layer = domains::build_crypto_layer();
+  storage::DurableCatalog durable(*layer, {.dir = dir});
+  SharedLayer shared(*layer, SharedLayer::Reindex::kFull);
+  SessionManager manager(shared);
+  RequestExecutor executor(manager);
+  const service::DirectiveContext context{&manager, &executor, {}, &durable};
+  const auto add_core = [&](const char* name) {
+    shared.write([&](dsl::DesignSpaceLayer&) {
+      dsl::Core core(name, kOmm);
+      core.bind(domains::kImplStyle, dsl::Value::text("Hardware"));
+      durable.apply_and_log(storage::CatalogRecord::add_cores("provider",
+                                                              {storage::to_record(core)}));
+    });
+  };
+  add_core("kept_core");
+  std::ostringstream out;
+  ASSERT_TRUE(service::run_directive(context, "!snapshot", out)) << out.str();
+
+  // Flip one value-kind tag inside a kCores record of a copy of the
+  // snapshot, and put the copy in its place.
+  const std::string snapshot = dir + "/catalog.snap";
+  const std::string pristine = testing_support::read_bytes(snapshot);
+  std::string damaged = pristine;
+  damaged[testing_support::first_core_record(damaged).binding_kind] = '\x7F';
+  testing_support::write_bytes(snapshot + ".copy", damaged);
+  storage::rename_into_place(snapshot + ".copy", snapshot);
+
+  const std::string before = dsl::export_layer(*layer);
+  out.str("");
+  EXPECT_FALSE(service::run_directive(context, "!restore", out));
+  EXPECT_NE(out.str().find("error: restore failed"), std::string::npos) << out.str();
+  EXPECT_EQ(dsl::export_layer(*layer), before);
+
+  // The journal stays open and keeps numbering after the snapshot's mark:
+  // a core journaled now survives a reboot from the repaired snapshot.
+  add_core("after_failed_restore");
+  testing_support::write_bytes(snapshot, pristine);
+  auto rebooted = domains::build_crypto_layer();
+  storage::DurableCatalog again(*rebooted, {.dir = dir});
+  EXPECT_EQ(again.boot_report().replayed_records, 1u);
+  EXPECT_EQ(dsl::export_layer(*rebooted), dsl::export_layer(*layer));
+}
+
+TEST(DurableDirectives, RestoreReportsLockTimeAndCatalogGauges) {
+  const std::string dir = scratch_dir("gauges");
+  auto layer = domains::build_crypto_layer();
+  storage::DurableCatalog durable(*layer, {.dir = dir});
+  SharedLayer shared(*layer, SharedLayer::Reindex::kFull);
+  SessionManager manager(shared);
+  RequestExecutor executor(manager);
+  const service::DirectiveContext context{&manager, &executor, {}, &durable};
+  const std::string cores = std::to_string(layer->catalog_counts().cores);
+  std::ostringstream out;
+  ASSERT_TRUE(service::run_directive(context, "!stats", out));
+  // Code-built cores are born filled.
+  EXPECT_NE(out.str().find("catalog: cores=" + cores + " hydrated=" + cores + "\n"),
+            std::string::npos)
+      << out.str();
+
+  out.str("");
+  ASSERT_TRUE(service::run_directive(context, "!snapshot", out)) << out.str();
+  out.str("");
+  ASSERT_TRUE(service::run_directive(context, "!restore", out)) << out.str();
+  EXPECT_NE(out.str().find(" lock_ms="), std::string::npos) << out.str();
+
+  // The restored catalog is lazy: the restore and its re-prime fill nothing.
+  out.str("");
+  ASSERT_TRUE(service::run_directive(context, "!stats", out));
+  EXPECT_NE(out.str().find("catalog: cores=" + cores + " hydrated=0\n"), std::string::npos)
+      << out.str();
+  out.str("");
+  ASSERT_TRUE(service::run_directive(context, "!metrics", out));
+  EXPECT_NE(out.str().find("\ndslayer_catalog_cores " + cores + "\n"), std::string::npos)
+      << out.str();
+  EXPECT_NE(out.str().find("\ndslayer_catalog_hydrated_cores 0\n"), std::string::npos)
+      << out.str();
 }
 
 TEST(DurableBoot, RebootWithSnapshotPreservesPrimedPlans) {

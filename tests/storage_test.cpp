@@ -6,12 +6,14 @@
 
 #include <cstdio>
 #include <fstream>
+#include <functional>
 #include <memory>
 #include <string>
 #include <vector>
 
 #include "dsl/layer.hpp"
 #include "dsl/serialize.hpp"
+#include "snapshot_layout.hpp"
 #include "storage/catalog_journal.hpp"
 #include "storage/codec.hpp"
 #include "storage/counters.hpp"
@@ -369,6 +371,53 @@ TEST(Snapshot, CorruptHeaderDetected) {
   }
   auto fresh = make_layer();
   EXPECT_THROW(load_snapshot(*fresh, path), StorageError);
+}
+
+/// Writes the three-core Block catalog's snapshot, lets `corrupt` damage
+/// the bytes of its first kCores record, and boots a populated layer from
+/// the result. The load must throw at boot (not at a core's first read)
+/// and leave the live catalog as it was.
+void expect_corrupt_core_record_rejected(
+    const std::function<void(std::string&, const testing_support::FirstCoreRecord&)>& corrupt) {
+  const std::string path = scratch_dir("cores") + "/catalog.snap";
+  auto original = make_layer();
+  original->add_library("vendor").add(make_core("c1", "Fast", 8));
+  original->library("vendor")->add(make_core("c2", "Slow", 16));
+  original->index_cores();
+  write_snapshot(*original, path);
+  std::string bytes = testing_support::read_bytes(path);
+  corrupt(bytes, testing_support::first_core_record(bytes));
+  testing_support::write_bytes(path, bytes);
+
+  auto live = make_layer();
+  live->add_library("live").add(make_core("l1", "Slow", 4));
+  live->index_cores();
+  const std::string before = dsl::export_layer(*live);
+  EXPECT_THROW(load_snapshot(*live, path), StorageError);
+  EXPECT_EQ(dsl::export_layer(*live), before);
+  EXPECT_EQ(live->cores_under(*live->space().find("Block")).size(), 1u);
+}
+
+TEST(Snapshot, BadValueKindTagInCoresThrowsAtBoot) {
+  expect_corrupt_core_record_rejected(
+      [](std::string& bytes, const testing_support::FirstCoreRecord& record) {
+        ASSERT_GT(testing_support::get_u32(bytes, record.class_symbol + 8), 0u);  // has bindings
+        bytes[record.binding_kind] = '\x7F';
+      });
+}
+
+TEST(Snapshot, OutOfRangeSymbolIdInCoresThrowsAtBoot) {
+  expect_corrupt_core_record_rejected(
+      [](std::string& bytes, const testing_support::FirstCoreRecord& record) {
+        testing_support::put_u32(bytes, record.class_symbol, 0x00FFFFF0u);
+      });
+}
+
+TEST(Snapshot, OverlongStringLengthInCoresThrowsAtBoot) {
+  expect_corrupt_core_record_rejected(
+      [](std::string& bytes, const testing_support::FirstCoreRecord& record) {
+        testing_support::put_u32(bytes, record.name_length, 0x7FFFFFF0u);
+      });
 }
 
 // -- durable catalog --------------------------------------------------------
