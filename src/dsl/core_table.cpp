@@ -1,7 +1,6 @@
 #include "dsl/core_table.hpp"
 
 #include <algorithm>
-#include <atomic>
 #include <bit>
 #include <new>
 #include <type_traits>
@@ -10,7 +9,6 @@
 #include "support/cancel.hpp"
 #include "support/error.hpp"
 #include "support/failpoint.hpp"
-#include "support/parallel.hpp"
 #include "support/simd.hpp"
 #include "support/strings.hpp"
 #include "support/telemetry.hpp"
@@ -33,9 +31,11 @@ static_assert(std::is_same_v<support::Symbol, std::uint32_t>,
 
 namespace {
 
-std::atomic<std::size_t> g_parallel_threshold{4096};
-
-constexpr std::size_t kWordsPerChunk = 32;  // 2048 rows per parallel chunk
+// Mask words between two cancellation checkpoints of a sweep loop. The
+// checkpoint reads the clock only every kCheckpointStride (64) calls, so a
+// 1M-row step (15625 words) reads it about 15 times: a deadline fires
+// within ~65k rows of passing.
+constexpr std::size_t kWordsPerCheckpoint = 16;
 
 simd::Cmp to_simd(PredicateAtom::Cmp cmp) { return static_cast<simd::Cmp>(cmp); }
 
@@ -50,14 +50,6 @@ void mark(ColumnData<std::uint64_t>& bits, std::size_t row) {
 }
 
 }  // namespace
-
-std::size_t columnar_parallel_threshold() {
-  return g_parallel_threshold.load(std::memory_order_relaxed);
-}
-
-void set_columnar_parallel_threshold(std::size_t rows) {
-  g_parallel_threshold.store(rows, std::memory_order_relaxed);
-}
 
 // ---------------------------------------------------------------------------
 // CoreTable
@@ -620,25 +612,22 @@ bool resolve_prefilter_atom(const CoreTable& table, const Bindings& bound,
   return true;
 }
 
-/// Runs `fn(word)` over every mask word, chunk-parallel when asked.
-/// Chunks never share a word, so workers write disjoint memory.
+/// Runs `fn(word)` over every mask word in order — the one place a sweep
+/// yields to its deadline: a cancellation checkpoint precedes every
+/// kWordsPerCheckpoint words.
 template <typename WordFn>
-void for_each_word(std::size_t words, bool parallel, const WordFn& fn) {
-  if (!parallel || words <= kWordsPerChunk) {
-    for (std::size_t w = 0; w < words; ++w) fn(w);
-    return;
+void for_each_word(std::size_t words, const WordFn& fn) {
+  for (std::size_t begin = 0; begin < words; begin += kWordsPerCheckpoint) {
+    support::cancellation_checkpoint();
+    const std::size_t end = std::min(words, begin + kWordsPerCheckpoint);
+    for (std::size_t w = begin; w < end; ++w) fn(w);
   }
-  const std::size_t chunks = (words + kWordsPerChunk - 1) / kWordsPerChunk;
-  support::ChunkPool::shared().for_each_chunk(chunks, [&](std::size_t chunk) {
-    const std::size_t end = std::min(words, (chunk + 1) * kWordsPerChunk);
-    for (std::size_t w = chunk * kWordsPerChunk; w < end; ++w) fn(w);
-  });
 }
 
 /// Sweeps the set bits of `mask`, clearing rows `keep` rejects.
 template <typename Keep>
-void sweep_rows(std::uint64_t* mask, std::size_t words, bool parallel, const Keep& keep) {
-  for_each_word(words, parallel, [&](std::size_t w) {
+void sweep_rows(std::uint64_t* mask, std::size_t words, const Keep& keep) {
+  for_each_word(words, [&](std::size_t w) {
     std::uint64_t bits = mask[w];
     std::uint64_t cleared = 0;
     while (bits != 0) {
@@ -657,8 +646,8 @@ void sweep_rows(std::uint64_t* mask, std::size_t words, bool parallel, const Kee
 SurvivorMask run_core_filter(const CoreFilterPlan& plan, const FilterQuery& query,
                              telemetry::Telemetry& telemetry) {
   using telemetry::EventKind;
-  // Chaos/deadline hook + the sweep's cancellation point (on the calling
-  // thread — ChunkPool workers carry no request deadline).
+  // Chaos/deadline hook + the sweep's first cancellation point; the word
+  // loops below are the rest.
   DSLAYER_FAILPOINT("dsl.candidates.sweep");
   support::cancellation_checkpoint();
   const CoreTable& table = plan.table;
@@ -686,7 +675,6 @@ SurvivorMask run_core_filter(const CoreFilterPlan& plan, const FilterQuery& quer
   std::uint64_t* mask = result.words.data();
   if ((rows & 63) != 0) mask[words - 1] = (std::uint64_t{1} << (rows & 63)) - 1;  // clip tail
 
-  const bool parallel = rows >= columnar_parallel_threshold();
   const auto clear_all = [&] { std::fill(mask, mask + words, 0); };
 
   // Steps 1 + 2a: decided design issues and kCoreEquals requirements are
@@ -708,7 +696,7 @@ SurvivorMask run_core_filter(const CoreFilterPlan& plan, const FilterQuery& quer
         const simd::Lane wanted{nullptr, eq.value.as_number()};
         const double* numbers = column->numbers.data();
         const std::uint64_t* present = column->present.data();
-        for_each_word(words, parallel, [&](std::size_t w) {
+        for_each_word(words, [&](std::size_t w) {
           mask[w] &= present[w] & kops.cmp_num(simd::Lane{numbers + (w << 6)}, simd::Lane{},
                                                false, simd::Cmp::kEq, wanted);
         });
@@ -727,13 +715,13 @@ SurvivorMask run_core_filter(const CoreFilterPlan& plan, const FilterQuery& quer
         const support::Symbol symbol = *wanted;
         const std::uint32_t* texts = column->texts.data();
         const std::uint64_t* present = column->present.data();
-        for_each_word(words, parallel, [&](std::size_t w) {
+        for_each_word(words, [&](std::size_t w) {
           mask[w] &= present[w] & kops.eq_sym(texts + (w << 6), nullptr, symbol, false);
         });
         return;
       }
       case ColumnKind::kMixed:
-        sweep_rows(mask, words, parallel, [&](std::size_t row) {
+        sweep_rows(mask, words, [&](std::size_t row) {
           return column->has(row) && column->values[row] == eq.value;
         });
         return;
@@ -756,15 +744,14 @@ SurvivorMask run_core_filter(const CoreFilterPlan& plan, const FilterQuery& quer
     const simd::Lane limit{nullptr, bound.bound};
     const double* numbers = column->numbers.data();
     const std::uint64_t* present = column->present.data();
-    for_each_word(words, parallel, [&](std::size_t w) {
+    for_each_word(words, [&](std::size_t w) {
       mask[w] &= present[w] & ~kops.cmp_num(simd::Lane{numbers + (w << 6)}, simd::Lane{},
                                             false, reject, limit);
     });
   }
 
-  // Step 2c: custom filters, row-wise and sequential (registered lambdas
-  // make no thread-safety promise). A declared pass_when prefilter
-  // proves rows compliant word-parallel first; only the residual runs
+  // Step 2c: custom filters, row-wise. A declared pass_when prefilter
+  // proves rows compliant a word at a time first; only the residual runs
   // the lambda.
   for (const FilterQuery::Custom& custom : query.custom) {
     PrefilterAtom* atoms = nullptr;
@@ -781,9 +768,9 @@ SurvivorMask run_core_filter(const CoreFilterPlan& plan, const FilterQuery& quer
       }
     }
     std::uint64_t skipped = 0;
-    for (std::size_t w = 0; w < words; ++w) {
+    for_each_word(words, [&](std::size_t w) {
       const std::uint64_t alive = mask[w];
-      if (alive == 0) continue;
+      if (alive == 0) return;
       std::uint64_t pass = 0;
       if (atom_count != 0) {
         pass = alive;
@@ -813,7 +800,7 @@ SurvivorMask run_core_filter(const CoreFilterPlan& plan, const FilterQuery& quer
         bits &= bits - 1;
       }
       mask[w] &= ~cleared;
-    }
+    });
     if (skipped != 0) telemetry.count(EventKind::kPrefilterSkip, skipped);
   }
 
@@ -829,8 +816,8 @@ SurvivorMask run_core_filter(const CoreFilterPlan& plan, const FilterQuery& quer
     telemetry.count(EventKind::kConstraintEvaluated, examined);
     if (predicate.compiled) {
       predicate.constraint->note_bulk_evaluations(examined);
-      // Resolve terms and pick word-kernel modes on the calling thread;
-      // ChunkPool workers only read the resolved program.
+      // Resolve terms and pick word-kernel modes once; the word loop
+      // only reads the resolved program.
       const std::size_t ref_count = predicate.references.size();
       ResolvedTerm* references = arena.alloc_array<ResolvedTerm>(ref_count);
       for (std::size_t i = 0; i < ref_count; ++i) {
@@ -851,7 +838,7 @@ SurvivorMask run_core_filter(const CoreFilterPlan& plan, const FilterQuery& quer
         resolved->rhs = resolve_term(table, op.rhs, *query.bound);
         classify_op(*resolved);
       }
-      for_each_word(words, parallel, [&](std::size_t w) {
+      for_each_word(words, [&](std::size_t w) {
         const std::uint64_t alive = mask[w];
         if (alive == 0) return;
         // violated() evaluates nothing unless every referenced property
@@ -905,15 +892,15 @@ SurvivorMask run_core_filter(const CoreFilterPlan& plan, const FilterQuery& quer
         mask[w] = alive & ~viol;
       });
     } else {
-      // Opaque lambda: row-wise through the overlay (sequential — the
-      // scratch map is shared across rows).
+      // Opaque lambda: row-wise through the overlay (the scratch map is
+      // shared across rows).
       if (!merged_ready) {
         merged = *query.bound;
         merged_ready = true;
       }
       BindingsOverlay overlay(merged);
       std::uint64_t overlay_writes = 0;
-      sweep_rows(mask, words, false, [&](std::size_t row) {
+      sweep_rows(mask, words, [&](std::size_t row) {
         overlay_writes += overlay.apply(*table.cores()[row]);
         const bool keep = !predicate.constraint->violated(merged);
         overlay.revert();

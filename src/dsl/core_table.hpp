@@ -34,10 +34,10 @@
 //    bit-identical to a scalar sweep. Per-sweep scratch (resolved terms,
 //    prefilter programs) comes from the calling thread's bump arena
 //    (support/arena.hpp); the returned mask is owned by the caller.
-//    Tables larger than columnar_parallel_threshold() split into
-//    64-row-aligned chunks on support::ChunkPool::shared(); chunks never
-//    share a mask word, so workers write disjoint memory and results are
-//    deterministic.
+//    A sweep runs start to finish on the thread that called it, and
+//    every word loop is a cancellation point: it calls
+//    support::cancellation_checkpoint() every 16 mask words (1024 rows),
+//    so a request deadline interrupts a large sweep mid-way.
 //    Custom (opaque lambda) filters may carry a PredicateAtom
 //    conjunction prefilter: rows the atoms prove compliant skip the
 //    lambda entirely (counted as kPrefilterSkip); only the residual
@@ -326,7 +326,9 @@ struct SurvivorMask {
 /// Runs the filter; returns the survivor mask over the plan's table rows
 /// (cores_under() order). Counts kComplianceCheck once per row and
 /// kConstraintEvaluated per (row, predicate) actually reached, exactly
-/// like a per-core loop with early exit.
+/// like a per-core loop with early exit. Throws DeadlineExceeded when the
+/// calling thread's deadline passes mid-sweep (the counts already made
+/// stay counted; the caller keeps no half-built mask).
 SurvivorMask run_core_filter(const CoreFilterPlan& plan, const FilterQuery& query,
                              telemetry::Telemetry& telemetry);
 
@@ -366,11 +368,6 @@ MetricRange fold_metric(const CoreTable::Column& metric, const SurvivorMask& mas
 void fold_metric_by_key(const CoreTable::Column& metric, const CoreTable::Column& key,
                         const SurvivorMask& mask, const std::vector<support::Symbol>& keys,
                         std::vector<MetricRange>& groups);
-
-/// Row count at and above which run_core_filter fans predicate sweeps
-/// out over support::ChunkPool::shared(). Settable for tests/benches.
-std::size_t columnar_parallel_threshold();
-void set_columnar_parallel_threshold(std::size_t rows);
 
 /// Applies one core's bindings on top of a session snapshot and undoes
 /// them on revert() — the opaque-predicate path's allocation-free

@@ -19,9 +19,8 @@
 // sweeps never contend. ArenaScope is the RAII guard: it records the
 // mark on entry and rewinds on exit, making nested scratch users (a
 // sweep calling a helper that also borrows scratch) compose safely.
-// ChunkPool helper lanes must NOT allocate from the caller's arena —
-// the engine resolves all scratch on the calling thread before fanning
-// chunks out, and workers only read it.
+// A sweep runs on one thread from start to finish, so its scratch is
+// never shared.
 //
 // Footprint: a thread's arena keeps its high-water capacity until the
 // thread exits (a 1M-row sweep's scratch is ~a few hundred KiB). That

@@ -14,11 +14,12 @@
 //     SUPPRESSES any outer deadline, which is how non-cancellable
 //     sections (session migration replay) protect their invariants.
 //   * cancellation_checkpoint() — called from the candidate-filter hot
-//     loop (the columnar engine, per sweep). Throws
-//     DeadlineExceeded when the installed deadline has passed. Without
-//     an installed deadline it is one thread-local load and a branch;
-//     with one it additionally strides the clock read (every
-//     kCheckpointStride calls) so per-row checkpoints stay cheap.
+//     loop (the columnar engine: once per sweep, then every 16 mask
+//     words of each word loop). Throws DeadlineExceeded when the
+//     installed deadline has passed. Without an installed deadline it
+//     is one thread-local load and a branch; with one it additionally
+//     strides the clock read (every kCheckpointStride calls) so
+//     frequent checkpoints stay cheap.
 //
 // Throw-site discipline: checkpoints live only in derived-query
 // computation (candidates() and the sweeps under it), never inside

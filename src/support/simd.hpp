@@ -73,7 +73,7 @@ bool supported(Kernel kernel);
 
 /// Forces the kernel choice (tests/benches; unsupported ISAs fall back
 /// to scalar). Not thread-safe against concurrent sweeps — flip it only
-/// from quiesced test/bench setup code, like columnar_parallel_threshold.
+/// from quiesced test/bench setup code.
 void set_kernel(Kernel kernel);
 
 /// Re-reads DSLAYER_SIMD and clears any set_kernel() override (tests).

@@ -327,8 +327,7 @@ std::string to_jsonl(const Trace& trace) {
   std::string out = cat("{\"trace\":", trace.id(), ",\"request\":", trace.request_id(),
                         ",\"session\":\"", telemetry::json_escape(trace.session()),
                         "\",\"sampled\":", trace.sampled() ? "true" : "false",
-                        ",\"total_ms\":", format_double(trace.total_ms(), 3),
-                        ",\"pool_chunks\":", trace.pool_chunks(), ",\"spans\":[");
+                        ",\"total_ms\":", format_double(trace.total_ms(), 3), ",\"spans\":[");
   bool first = true;
   for (const Span& span : trace.spans()) {
     if (!first) out += ',';

@@ -15,8 +15,9 @@
 //
 //   * Trace — one request's spans. Span mutation is guarded by a tiny
 //     per-trace mutex: stages are serialized by the executor's queue
-//     handoff, so the lock is uncontended; it exists so chunk-parallel
-//     sweep lanes and TSan agree about the rare concurrent touch.
+//     handoff, so the lock is uncontended; it keeps every cross-thread
+//     touch (front end, worker, snapshot copies) safe without reasoning
+//     about each handoff.
 //   * TraceScope — RAII installer of the CURRENT thread's trace (a
 //     thread_local, exactly like support::DeadlineScope). Deep
 //     instrumentation sites (the sweep engines) consult
@@ -117,11 +118,6 @@ class Trace {
   std::uint32_t add_span(SpanKind kind, Clock::time_point start, Clock::time_point end,
                          std::uint32_t parent = kNoParent, std::string detail = {});
 
-  /// Called by ChunkPool helper lanes that ran a sweep chunk under this
-  /// trace — thread-safe (relaxed atomic); shows up as "pool_chunks".
-  void note_pool_chunk() { pool_chunks_.fetch_add(1, std::memory_order_relaxed); }
-  std::uint64_t pool_chunks() const { return pool_chunks_.load(std::memory_order_relaxed); }
-
   /// Snapshot copies (exposition and tests).
   std::vector<Span> spans() const;
 
@@ -146,7 +142,6 @@ class Trace {
   std::vector<std::uint32_t> open_stack_;
   double total_ms_ = 0.0;
   bool finished_ = false;
-  std::atomic<std::uint64_t> pool_chunks_{0};
 };
 
 /// Installs `trace` (may be null) as the current thread's trace for the
@@ -288,8 +283,8 @@ class Tracer {
 
 /// Renders a finished trace as one JSON line (no trailing newline):
 /// {"trace":7,"request":3,"session":"s1","sampled":true,"total_ms":12.5,
-///  "pool_chunks":0,"spans":[{"kind":"ingress","parent":-1,"start_us":0,
-///  "dur_us":3.1,"detail":""},...]}
+///  "spans":[{"kind":"ingress","parent":-1,"start_us":0,"dur_us":3.1,
+///  "detail":""},...]}
 std::string to_jsonl(const Trace& trace);
 
 }  // namespace dslayer::trace

@@ -10,7 +10,9 @@
 //    serves candidate_count(), metric_range(), option_ranges() and
 //    candidates(); a replaced filter plan (re-index, SharedLayer write
 //    epoch) is never answered from a stale mask; sessions on reader
-//    threads fold one shared plan concurrently (run under TSan in CI);
+//    threads fold one shared plan concurrently (run under TSan in CI); a
+//    deadline that passes mid-sweep unwinds it and leaves the session
+//    answering exactly like an untouched twin;
 //  * the per-CDO constraint index agrees with a linear applies_at scan and
 //    survives add_constraint() invalidation;
 //  * retract() of a generalized decision ascends, drops out-of-scope
@@ -20,10 +22,12 @@
 
 #include <algorithm>
 #include <bit>
+#include <chrono>
 #include <thread>
 
 #include "dsl/exploration.hpp"
 #include "service/shared_layer.hpp"
+#include "support/cancel.hpp"
 #include "support/error.hpp"
 #include "support/rng.hpp"
 
@@ -221,7 +225,6 @@ TEST(QueryCache, ReplayedSessionStartsColdAndAgrees) {
 
 /// R partitions on the generalized issue Mode (A | B, A with its own
 /// generalized Depth); Tech and Width filter; area/clock are metrics.
-/// Enough cores that a sweep fans out over the chunk pool.
 std::unique_ptr<DesignSpaceLayer> walk_layer(std::size_t core_count) {
   auto layer = std::make_unique<DesignSpaceLayer>("walk");
   Cdo& root = layer->space().add_root("R");
@@ -420,6 +423,55 @@ TEST(SweepMemo, ReaderThreadsFoldOneSharedPlanConcurrently) {
   for (int t = 0; t < kThreads; ++t) threads.emplace_back(walk, t, std::ref(got[t]));
   for (std::thread& thread : threads) thread.join();
   for (int t = 0; t < kThreads; ++t) EXPECT_EQ(got[t], expected[t]) << "thread " << t;
+}
+
+TEST(SweepMemo, DeadlinePassingMidSweepThrowsAndLeavesTheSessionAsItWas) {
+  // A custom filter stalls on the first row it sees while `stall` is set,
+  // well past the installed deadline. The sweep's first checkpoint runs
+  // before that row, in time, so only a checkpoint inside the word loop
+  // can see the deadline pass. Checkpoints read the clock every
+  // support::kCheckpointStride calls, so the catalog spans enough mask
+  // words to cross more than one clock read after the stalled row.
+  constexpr std::size_t kCores = std::size_t{1} << 17;
+  auto layer = std::make_unique<DesignSpaceLayer>("deadline");
+  layer->space().add_root("R").add_property(
+      Property::requirement("Budget", ValueDomain::real_range(0.0, 1e6), ""));
+  ReuseLibrary& lib = layer->add_library("cores");
+  for (std::size_t i = 0; i < kCores; ++i) {
+    Core c("c" + std::to_string(i), "R");
+    c.set_metric("area", static_cast<double>(i % 1000));
+    lib.add(std::move(c));
+  }
+  bool stall = false;
+  layer->set_core_filter("Budget", [&stall](const Core& core, const Bindings& b) {
+    if (stall) {
+      stall = false;
+      std::this_thread::sleep_for(std::chrono::milliseconds(100));
+    }
+    return *core.metric("area") <= get_or_empty(b, "Budget").as_number();
+  });
+  layer->index_cores();
+
+  ExplorationSession doomed(*layer, "R");
+  ExplorationSession twin(*layer, "R");
+  doomed.set_requirement("Budget", 499.0);
+  twin.set_requirement("Budget", 499.0);
+  // The twin's sweep builds the shared filter plan, so the doomed sweep
+  // reaches its first checkpoint at once.
+  const std::size_t expected = twin.candidate_count();
+
+  stall = true;
+  {
+    const support::DeadlineScope deadline(support::Deadline::after_ms(25));
+    EXPECT_THROW((void)doomed.candidate_count(), DeadlineExceeded);
+  }
+  EXPECT_FALSE(stall);  // the filter ran: the sweep was cancelled mid-way
+
+  // Oracle: the cancelled session answers exactly like its twin.
+  EXPECT_EQ(doomed.report(), twin.report());
+  EXPECT_EQ(doomed.candidates(), twin.candidates());
+  EXPECT_EQ(doomed.candidate_count(), expected);
+  EXPECT_EQ(expected, kCores / 1000 * 500 + std::min<std::size_t>(kCores % 1000, 500));
 }
 
 // ---------------------------------------------------------------------------

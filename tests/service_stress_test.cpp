@@ -252,23 +252,18 @@ TEST(ServiceStress, FuzzWalkReplayOracle) {
 // Racing reindex against the columnar candidate engine: a writer keeps
 // growing the catalog through shared.write() — each epoch re-indexes and
 // re-primes the per-CDO CoreFilterPlans pre-publish — while reader sessions
-// hammer candidates-heavy commands on the columnar path. The parallel chunk
-// sweep is forced on by dropping the columnar threshold below the catalog
-// size, so ThreadSanitizer sees the ChunkPool workers, the plan rebuilds,
-// and the epoch migrations all interleave. Candidate counts are checked per
-// command only for sanity (> 0); the semantic oracle is the columnar test
-// suite — here the invariant is no race, no crash, no failed migration.
+// hammer candidates-heavy commands on the columnar path. Each sweep runs on
+// its reader's thread, so ThreadSanitizer sees the plan rebuilds racing the
+// sweeps that read the previous epoch's plans, and the epoch migrations
+// that move the readers' sessions onto the new one. Candidate counts are
+// checked per command only for sanity (> 0); the semantic oracle is the
+// columnar test suite — here the invariant is no race, no crash, no failed
+// migration.
 TEST(ServiceStress, RacingReindexColumnarSweeps) {
-  struct ThresholdGuard {
-    std::size_t saved = dsl::columnar_parallel_threshold();
-    ~ThresholdGuard() { dsl::set_columnar_parallel_threshold(saved); }
-  } guard;
-  dsl::set_columnar_parallel_threshold(64);  // catalog >= 64 rows -> parallel sweep
-
   auto layer = domains::build_crypto_layer();
   SharedLayer shared(*layer);
-  // Seed enough rows under the walked CDO that every sweep takes the
-  // chunk-parallel path.
+  // Seed several mask words of rows under the walked CDO, so every sweep
+  // runs its word loops over a table the writer keeps replacing.
   shared.write([](dsl::DesignSpaceLayer& l) {
     dsl::ReuseLibrary& lib = l.add_library("stress");
     for (int i = 0; i < 256; ++i) {

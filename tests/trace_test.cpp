@@ -12,22 +12,20 @@
 //     every over-threshold request when a failpoint delay stalls the
 //     executor;
 //   * trace-id propagation — across RequestExecutor strand hops (the
-//     queue.wait / execute spans land on the request's own trace) and
-//     into ChunkPool helper lanes (TraceScope travels to every chunk);
+//     queue.wait / execute spans land on the request's own trace, and
+//     the sweep span nests under execute);
 //   * the `!metrics` Prometheus rendering (format details are checked
 //     exhaustively by scripts/check_metrics_format.py — here we pin the
 //     load-bearing series and the "# EOF" framing terminator).
 
 #include <gtest/gtest.h>
 
-#include <atomic>
 #include <chrono>
 #include <cstdio>
 #include <fstream>
 #include <set>
 #include <sstream>
 #include <string>
-#include <thread>
 #include <vector>
 
 #include "domains/crypto.hpp"
@@ -37,7 +35,6 @@
 #include "service/session_manager.hpp"
 #include "service/shared_layer.hpp"
 #include "support/failpoint.hpp"
-#include "support/parallel.hpp"
 #include "support/trace.hpp"
 
 namespace dslayer::trace {
@@ -316,37 +313,6 @@ TEST_F(TraceTest, FlightRecorderIsBoundedInMemoryAndOnDisk) {
 }
 
 // ---------------------------------------------------------------------------
-// propagation: ChunkPool helper lanes
-// ---------------------------------------------------------------------------
-
-TEST_F(TraceTest, TraceScopeTravelsIntoChunkPoolHelperLanes) {
-  support::ChunkPool pool(2);
-  Trace trace(1, true, "s1", 1, Clock::now());
-  constexpr std::size_t kChunks = 16;
-  std::atomic<std::size_t> chunks_with_trace{0};
-  {
-    TraceScope scope(&trace);
-    pool.for_each_chunk(kChunks, [&](std::size_t chunk) {
-      if (TraceScope::current() == &trace) ++chunks_with_trace;
-      if (chunk == 0) {
-        // Hold the first chunk until a HELPER lane has demonstrably run
-        // one (note_pool_chunk is bumped by helpers only, before fn) —
-        // this pins that propagation crossed a real thread boundary, not
-        // just the caller's own lane. Deadlock-free: if a helper claimed
-        // chunk 0 itself, it already bumped the counter.
-        const auto deadline = std::chrono::steady_clock::now() + std::chrono::seconds(5);
-        while (trace.pool_chunks() == 0 && std::chrono::steady_clock::now() < deadline) {
-          std::this_thread::sleep_for(std::chrono::milliseconds(1));
-        }
-      }
-    });
-  }
-  EXPECT_EQ(chunks_with_trace.load(), kChunks);  // every lane saw the request's trace
-  EXPECT_GE(trace.pool_chunks(), 1u);
-  EXPECT_EQ(TraceScope::current(), nullptr);  // helpers restored their lanes
-}
-
-// ---------------------------------------------------------------------------
 // propagation: the full service chain
 // ---------------------------------------------------------------------------
 
@@ -389,8 +355,8 @@ TEST_F(ServiceTraceTest, SpanChainCrossesExecutorStrandHopsAndReachesTheSweep) {
     EXPECT_TRUE(kinds.contains(SpanKind::kParse)) << to_jsonl(*trace);
     EXPECT_TRUE(kinds.contains(SpanKind::kQueueWait)) << to_jsonl(*trace);
     ASSERT_TRUE(kinds.contains(SpanKind::kExecute)) << to_jsonl(*trace);
-    // Sweep spans (from the candidate filter, possibly on ChunkPool
-    // helper lanes) nest under the worker's execute span.
+    // Sweep spans (from the candidate filter, which runs on the same
+    // worker) nest under the worker's execute span.
     for (std::uint32_t i = 0; i < spans.size(); ++i) {
       if (spans[i].kind == SpanKind::kSweep) {
         EXPECT_EQ(spans[i].parent, execute_index) << to_jsonl(*trace);
