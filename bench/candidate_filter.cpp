@@ -20,8 +20,8 @@
 //
 // Every repeat queries a fresh session replayed from the scenario's
 // journal (built outside the timer), so each pays the cold sweep. Work
-// counters (constraint evaluations, compliance checks, overlay writes,
-// prefilter skips) are reported PER SCAN — totals divided by the phase's
+// counters (constraint evaluations, compliance checks, prefilter skips)
+// are reported PER SCAN — totals divided by the phase's
 // repeat count — so the committed baselines in
 // bench/baselines/counters.json stay independent of the repeat choice.
 // The JSON also carries the columnar table's
@@ -79,7 +79,6 @@ struct PhaseResult {
   // Deterministic work counters, per scan.
   std::uint64_t constraint_evaluations = 0;
   std::uint64_t compliance_checks = 0;
-  std::uint64_t overlay_writes = 0;
   std::uint64_t prefilter_skips = 0;
 };
 
@@ -142,8 +141,7 @@ PhaseResult run_phase(const dsl::DesignSpaceLayer& layer, const std::string& jou
   out = cold_session(layer, journal, engine).candidates();
   PhaseResult r;
   r.repeats = kRepeats;
-  std::uint64_t constraint_evaluations = 0, compliance_checks = 0, overlay_writes = 0,
-                prefilter_skips = 0;
+  std::uint64_t constraint_evaluations = 0, compliance_checks = 0, prefilter_skips = 0;
   std::size_t checksum = 0;
   for (int i = 0; i < kRepeats; ++i) {
     const dsl::ExplorationSession s = cold_session(layer, journal, engine);
@@ -155,7 +153,6 @@ PhaseResult run_phase(const dsl::DesignSpaceLayer& layer, const std::string& jou
     const dsl::QueryStats stats = s.query_stats();
     constraint_evaluations += stats.constraint_evaluations;
     compliance_checks += stats.compliance_checks;
-    overlay_writes += s.telemetry().count_of(telemetry::EventKind::kOverlayWrite);
     prefilter_skips += s.telemetry().count_of(telemetry::EventKind::kPrefilterSkip);
   }
   simd::reset_kernel_choice();
@@ -173,7 +170,6 @@ PhaseResult run_phase(const dsl::DesignSpaceLayer& layer, const std::string& jou
   };
   r.constraint_evaluations = per_scan(constraint_evaluations, "constraint_evaluations");
   r.compliance_checks = per_scan(compliance_checks, "compliance_checks");
-  r.overlay_writes = per_scan(overlay_writes, "overlay_writes");
   r.prefilter_skips = per_scan(prefilter_skips, "prefilter_skips");
   return r;
 }
@@ -355,8 +351,7 @@ void json_aggregate(std::ostream& out, const char* name, const AggregatePhase& p
 void print_phase(const char* name, const PhaseResult& p) {
   std::cout << "  " << name << ": " << format_double(p.per_scan_ms, 4) << " ms/scan (x"
             << p.repeats << ")  (" << p.constraint_evaluations << " constraint evals, "
-            << p.compliance_checks << " compliance checks, " << p.overlay_writes
-            << " overlay writes";
+            << p.compliance_checks << " compliance checks";
   if (p.prefilter_skips > 0) std::cout << ", " << p.prefilter_skips << " prefilter skips";
   std::cout << ")\n";
 }
@@ -382,7 +377,6 @@ void json_phase(std::ostream& out, const char* name, const PhaseResult& p) {
       << "      \"per_scan_ms\": " << p.per_scan_ms << ",\n"
       << "      \"constraint_evaluations\": " << p.constraint_evaluations << ",\n"
       << "      \"compliance_checks\": " << p.compliance_checks << ",\n"
-      << "      \"overlay_writes\": " << p.overlay_writes << ",\n"
       << "      \"prefilter_skips\": " << p.prefilter_skips << "\n"
       << "    }";
 }

@@ -6,6 +6,7 @@
 #pragma once
 
 #include <cstdio>
+#include <optional>
 #include <string>
 #include <thread>
 
@@ -13,19 +14,31 @@
 
 namespace dslayer::bench {
 
-/// `git rev-parse` of the source tree the bench was built from, or
-/// "unknown" when git or the checkout is unavailable.
+/// Output of `git -C <source dir> <args>`, or nullopt when git fails.
+inline std::optional<std::string> git_output(const char* args) {
+  const std::string command =
+      std::string("git -C \"" DSLAYER_SOURCE_DIR "\" ") + args + " 2>/dev/null";
+  std::string out;
+  FILE* pipe = ::popen(command.c_str(), "r");
+  if (pipe == nullptr) return std::nullopt;
+  char buf[256];
+  while (std::fgets(buf, sizeof(buf), pipe) != nullptr) out += buf;
+  if (::pclose(pipe) != 0) return std::nullopt;
+  return out;
+}
+
+/// `git rev-parse` of the source tree the bench was built from, with a
+/// "-dirty" suffix when tracked files differ from HEAD (so a bench file
+/// regenerated before its change is committed does not name the parent
+/// commit as if it were that code), or "unknown" when git or the
+/// checkout is unavailable.
 inline std::string git_sha() {
-  std::string sha;
-  const char* command =
-      "git -C \"" DSLAYER_SOURCE_DIR "\" rev-parse --short=12 HEAD 2>/dev/null";
-  if (FILE* pipe = ::popen(command, "r")) {
-    char buf[64];
-    while (std::fgets(buf, sizeof(buf), pipe) != nullptr) sha += buf;
-    if (::pclose(pipe) != 0) sha.clear();
-  }
+  std::string sha = git_output("rev-parse --short=12 HEAD").value_or("");
   while (!sha.empty() && (sha.back() == '\n' || sha.back() == '\r')) sha.pop_back();
-  return sha.empty() ? "unknown" : sha;
+  if (sha.empty()) return "unknown";
+  const auto changes = git_output("status --porcelain --untracked-files=no");
+  if (changes.has_value() && !changes->empty()) sha += "-dirty";
+  return sha;
 }
 
 /// `  "machine": {...}` (two-space indent, no trailing comma or newline).

@@ -6,9 +6,10 @@
 //
 //   1. the "design environment" builds the cryptography layer and exports
 //      it to the interchange format (dslayer-format 1);
-//   2. the "receiving environment" imports the text, re-authors the code
-//      parts (consistency constraints and compliance filters do not travel
-//      — they are relations over the layer's properties, not data), and
+//   2. the "receiving environment" imports the text, re-authors the
+//      consistency constraints and compliance filters it needs (the text
+//      format carries neither: filters are code, and predicate constraints,
+//      though plain atom data, are not yet written by the exporter), and
 //      explores;
 //   3. the provider ships an updated catalog: a new core is added to the
 //      imported layer's library and indexed without rebuilding anything —
@@ -45,16 +46,15 @@ int main() {
             << imported.layer->libraries().size() << " libraries, "
             << imported.warnings.size() << " warnings\n";
 
-  // Constraints are code; the receiving environment re-authors the ones it
-  // needs (here: just CC1, the odd-modulo rule).
-  imported.layer->add_constraint(dsl::ConsistencyConstraint::inconsistent_options(
+  // The text format does not carry constraints yet; the receiving
+  // environment re-authors the ones it needs (here: just CC1, the
+  // odd-modulo rule) from the descriptions the export embeds.
+  imported.layer->add_constraint(dsl::ConsistencyConstraint::inconsistent_when(
       "CC1", "Montgomery Algorithm requires odd modulo",
       {dsl::PropertyPath::parse(cat(kModuloIsOdd, "@Multiplier"))},
       {dsl::PropertyPath::parse(cat(kAlgorithm, "@*.Multiplier.Hardware"))},
-      [](const dsl::Bindings& b) {
-        return dsl::get_or_empty(b, kModuloIsOdd).as_text() == "NotGuaranteed" &&
-               dsl::get_or_empty(b, kAlgorithm).as_text() == "Montgomery";
-      }));
+      {dsl::PredicateAtom::equals(kModuloIsOdd, dsl::Value::text("NotGuaranteed")),
+       dsl::PredicateAtom::equals(kAlgorithm, dsl::Value::text("Montgomery"))}));
 
   dsl::ExplorationSession session(*imported.layer, kPathOMM);
   session.set_requirement(kEOL, 768.0);

@@ -70,13 +70,11 @@ int main() {
   layer.index_cores();
 
   // 3. One consistency constraint: deep FIFOs in flip-flops are dominated.
-  layer.add_constraint(ConsistencyConstraint::dominance(
+  layer.add_constraint(ConsistencyConstraint::dominance_when(
       "QC1", "Register-file FIFOs deeper than 64 entries are dominated by SRAM",
       {PropertyPath::parse("Depth@FIFO")}, {PropertyPath::parse("MemoryStyle@FIFO")},
-      [](const dsl::Bindings& b) {
-        return dsl::get_or_empty(b, "Depth").as_number() > 64 &&
-               dsl::get_or_empty(b, "MemoryStyle").as_text() == "Register-File";
-      }));
+      {dsl::PredicateAtom::compares("Depth", dsl::PredicateAtom::Cmp::kGt, 64),
+       dsl::PredicateAtom::equals("MemoryStyle", Value::text("Register-File"))}));
 
   std::cout << layer.document() << "\n";
 

@@ -3,7 +3,7 @@
 
 Wall-clock numbers flap with the machine; the work counters do not. The
 benches emit deterministic counters (constraint evaluations, compliance
-checks, overlay writes, ...) in their --json output — fixed repeat counts
+checks, prefilter skips, ...) in their --json output — fixed repeat counts
 over a fixed synthetic library make them exactly reproducible. This script
 compares those counters, and the oracle flags riding along, against the
 committed baselines in bench/baselines/counters.json:
@@ -11,7 +11,7 @@ committed baselines in bench/baselines/counters.json:
     { "BENCH_candidate_filter.json": { "declarative.columnar_simd.constraint_evaluations": 3625175, ... }, ... }
 
 Dotted keys index into the bench JSON. Any drift — more work per query, a
-lost early-exit, overlay writes reappearing on the columnar path, an engine
+lost early-exit, a prefilter that stops skipping rows, an engine
 disagreement — fails CI even when the wall times still look fine.
 
 An expectation may also be a bound object instead of an exact value:

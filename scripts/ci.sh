@@ -1,7 +1,7 @@
 #!/usr/bin/env bash
 # CI pipeline (ROADMAP.md):
-#   1. tier-1 gate — configure, build, run the fast unit/integration tests
-#      (everything not labeled tier2);
+#   1. tier-1 gate — configure (-DDSLAYER_WERROR=ON), build, run the fast
+#      unit/integration tests (everything not labeled tier2);
 #   2. end-to-end smoke — `perfbench/run.py --smoke` builds the real
 #      `dslshell --listen` server and drives it over TCP with every verb,
 #      checking each body against an in-process oracle and the server's
@@ -9,8 +9,8 @@
 #   3. tier-2 — fuzz / stress / service concurrency + chaos tests in the
 #      same tree;
 #   4. sanitizer pass — tier-1 under ASan+UBSan in a second build dir
-#      (benches/examples off: the 10k-core bench is not meaningful
-#      instrumented), plus the failpoint chaos suite — injected faults
+#      (-DDSLAYER_WERROR=ON; benches/examples off: the 10k-core bench is
+#      not meaningful instrumented), plus the failpoint chaos suite — injected faults
 #      exercise the rare unwind paths where leaks and UB hide;
 #   5. crash-recovery chaos — the kill-anywhere storage suite (fork a
 #      child, abort it at a random WAL/snapshot write boundary, reboot,
@@ -38,7 +38,9 @@ cd "$(dirname "$0")/.."
 CTEST_TIMEOUT=300  # seconds per test — chaos suites finish in single digits
 
 echo "=== [1/7] tier-1: build + tests ==="
-cmake -B build -S .
+# The tier-1 and sanitizer builds treat every warning as an error, so a
+# new warning fails CI instead of piling up.
+cmake -B build -S . -DDSLAYER_WERROR=ON
 cmake --build build -j
 (cd build && ctest -LE tier2 --output-on-failure --timeout "$CTEST_TIMEOUT")
 
@@ -54,6 +56,7 @@ cmake -B build-asan -S . \
   -DCMAKE_BUILD_TYPE=Debug \
   -DDSLAYER_BUILD_BENCH=OFF \
   -DDSLAYER_BUILD_EXAMPLES=OFF \
+  -DDSLAYER_WERROR=ON \
   -DCMAKE_CXX_FLAGS="$SAN_FLAGS"
 cmake --build build-asan -j
 (cd build-asan && ctest -LE tier2 --output-on-failure --timeout "$CTEST_TIMEOUT")

@@ -274,8 +274,7 @@ void build_hierarchy(dsl::DesignSpaceLayer& layer, const CryptoLayerOptions& opt
 // ---------------------------------------------------------------------------
 
 void add_constraints(dsl::DesignSpaceLayer& layer, const CryptoLayerOptions& options) {
-  // CC1: the Montgomery algorithm requires an odd modulus. Stated as
-  // declarative atoms so the columnar filter compiles it (DESIGN.md §10).
+  // CC1: the Montgomery algorithm requires an odd modulus.
   layer.add_constraint(ConsistencyConstraint::inconsistent_when(
       "CC1", "Montgomery Algorithm requires odd modulo",
       {PropertyPath::parse(cat(kModuloIsOdd, "@Multiplier"))},

@@ -105,46 +105,18 @@ void check_common(const std::string& id, const std::vector<PropertyPath>& depend
 
 }  // namespace
 
-ConsistencyConstraint ConsistencyConstraint::inconsistent_options(
-    std::string id, std::string doc, std::vector<PropertyPath> independent,
-    std::vector<PropertyPath> dependent, std::function<bool(const Bindings&)> violated) {
+ConsistencyConstraint ConsistencyConstraint::inconsistent_when(std::string id, std::string doc,
+                                                               std::vector<PropertyPath> independent,
+                                                               std::vector<PropertyPath> dependent,
+                                                               std::vector<PredicateAtom> atoms) {
   check_common(id, dependent);
-  DSLAYER_REQUIRE(violated != nullptr, "predicate must not be null");
+  DSLAYER_REQUIRE(!atoms.empty(), "predicate needs at least one atom");
   ConsistencyConstraint cc;
   cc.id_ = std::move(id);
   cc.doc_ = std::move(doc);
   cc.kind_ = RelationKind::kInconsistentOptions;
   cc.independent_ = std::move(independent);
   cc.dependent_ = std::move(dependent);
-  cc.violated_ = std::move(violated);
-  return cc;
-}
-
-ConsistencyConstraint ConsistencyConstraint::dominance(
-    std::string id, std::string doc, std::vector<PropertyPath> independent,
-    std::vector<PropertyPath> dependent, std::function<bool(const Bindings&)> violated) {
-  ConsistencyConstraint cc = inconsistent_options(std::move(id), std::move(doc),
-                                                  std::move(independent), std::move(dependent),
-                                                  std::move(violated));
-  cc.kind_ = RelationKind::kDominanceElimination;
-  return cc;
-}
-
-ConsistencyConstraint ConsistencyConstraint::inconsistent_when(std::string id, std::string doc,
-                                                               std::vector<PropertyPath> independent,
-                                                               std::vector<PropertyPath> dependent,
-                                                               std::vector<PredicateAtom> atoms) {
-  DSLAYER_REQUIRE(!atoms.empty(), "declarative predicate needs at least one atom");
-  // The lambda captures a copy of the atom list (not `this`): constraints
-  // are moved into the layer's storage after construction.
-  ConsistencyConstraint cc = inconsistent_options(
-      std::move(id), std::move(doc), std::move(independent), std::move(dependent),
-      [atoms](const Bindings& bindings) {
-        for (const PredicateAtom& atom : atoms) {
-          if (!atom.holds(bindings)) return false;
-        }
-        return true;
-      });
   cc.atoms_ = std::move(atoms);
   return cc;
 }
@@ -235,7 +207,10 @@ bool ConsistencyConstraint::violated(const Bindings& bindings) const {
   for (const PropertyPath& p : dependent_) {
     if (get_or_empty(bindings, p.property()).empty()) return false;
   }
-  return violated_(bindings);
+  for (const PredicateAtom& atom : atoms_) {
+    if (!atom.holds(bindings)) return false;
+  }
+  return true;
 }
 
 Value ConsistencyConstraint::evaluate(const Bindings& bindings) const {

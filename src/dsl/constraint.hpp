@@ -50,12 +50,13 @@ std::string to_string(RelationKind k);
 
 /// One declarative conjunct of a predicate relation: property <cmp>
 /// constant, property <cmp> property, or product (lhs * lhs_factor) <cmp>
-/// right side. A constraint stated as a conjunction of atoms is violated
-/// when EVERY atom holds — and, unlike an opaque lambda, can be compiled
-/// once per index generation into the columnar filter programs of
-/// dsl/core_table (DESIGN.md §10). Semantics of holds(): numbers compare
-/// numerically; texts compare with ==/!= only; a kind mismatch, a missing
-/// value, or a non-number in a product never holds.
+/// right side. Every predicate constraint (CC1, CC4) is a conjunction of
+/// atoms, violated when EVERY atom holds. Being data, it is compiled once
+/// per index generation into the columnar filter programs of
+/// dsl/core_table (DESIGN.md §10) and written to the catalog journal.
+/// Semantics of holds(): numbers compare numerically; texts and flags
+/// compare with ==/!= only; a kind mismatch, a missing value, or a
+/// non-number in a product never holds.
 struct PredicateAtom {
   enum class Cmp { kEq, kNe, kLt, kLe, kGt, kGe };
 
@@ -72,34 +73,24 @@ struct PredicateAtom {
   static PredicateAtom product(std::string a, std::string b, Cmp cmp, std::string rhs_property);
 
   bool holds(const Bindings& bindings) const;
+
+  friend bool operator==(const PredicateAtom&, const PredicateAtom&) = default;
 };
 
 bool compare_numbers(double lhs, PredicateAtom::Cmp cmp, double rhs);
 
 class ConsistencyConstraint {
  public:
-  /// Predicate relations: `violated` returns true for value combinations
-  /// the CC rules out. It is only consulted when every referenced property
-  /// has a value.
-  static ConsistencyConstraint inconsistent_options(
-      std::string id, std::string doc, std::vector<PropertyPath> independent,
-      std::vector<PropertyPath> dependent, std::function<bool(const Bindings&)> violated);
-
-  /// Same mechanics, dominance rationale (CC4).
-  static ConsistencyConstraint dominance(
-      std::string id, std::string doc, std::vector<PropertyPath> independent,
-      std::vector<PropertyPath> dependent, std::function<bool(const Bindings&)> violated);
-
-  /// Declarative predicate relations: violated when EVERY atom holds.
-  /// Equivalent to the lambda forms above for row-wise evaluation, but
-  /// additionally compilable() into the columnar filter programs — prefer
-  /// these whenever the rule is expressible as a conjunction of atoms.
+  /// Predicate relation (CC1): the value combinations where EVERY atom
+  /// holds are ruled out. Only consulted when every referenced property
+  /// has a value. A disjunction is stated as several constraints. Throws
+  /// PreconditionError on an empty atom list.
   static ConsistencyConstraint inconsistent_when(std::string id, std::string doc,
                                                  std::vector<PropertyPath> independent,
                                                  std::vector<PropertyPath> dependent,
                                                  std::vector<PredicateAtom> atoms);
 
-  /// Declarative dominance (CC4) — see inconsistent_when().
+  /// Same mechanics, dominance rationale (CC4) — see inconsistent_when().
   static ConsistencyConstraint dominance_when(std::string id, std::string doc,
                                               std::vector<PropertyPath> independent,
                                               std::vector<PropertyPath> dependent,
@@ -146,14 +137,9 @@ class ConsistencyConstraint {
   /// True if every independent property has a (non-empty) binding.
   bool independents_bound(const Bindings& bindings) const;
 
-  /// The declarative conjunction behind a predicate relation built with
-  /// inconsistent_when()/dominance_when(); empty for opaque lambdas.
+  /// The conjunction behind a predicate relation; empty for formulas and
+  /// estimator bindings.
   const std::vector<PredicateAtom>& atoms() const { return atoms_; }
-
-  /// True when the predicate can be compiled into a columnar program
-  /// (i.e. it was stated declaratively). Opaque lambdas fall back to
-  /// row-wise evaluation in the columnar path.
-  bool compilable() const { return !atoms_.empty(); }
 
   /// How often this constraint's relation has been evaluated (violated()
   /// or evaluate()) since construction — the per-constraint view of
@@ -178,9 +164,8 @@ class ConsistencyConstraint {
   RelationKind kind_ = RelationKind::kInconsistentOptions;
   std::vector<PropertyPath> independent_;
   std::vector<PropertyPath> dependent_;
-  std::function<bool(const Bindings&)> violated_;
   std::function<Value(const Bindings&)> compute_;
-  std::vector<PredicateAtom> atoms_;  // non-empty iff built declaratively
+  std::vector<PredicateAtom> atoms_;  // non-empty iff a predicate relation
   std::string estimator_name_;
   mutable RelaxedCounter evaluations_;
 };

@@ -241,68 +241,33 @@ void CoreFilterPlan::compile(
     for (const PropertyPath& path : cc->independent()) add_reference(path.property_symbol());
     for (const PropertyPath& path : cc->dependent()) add_reference(path.property_symbol());
 
-    if (cc->compilable()) {
-      predicate.compiled = true;
-      for (const PredicateAtom& atom : cc->atoms()) {
-        CompiledPredicate::Op op;
-        op.cmp = atom.cmp;
-        op.lhs = property_term(atom.lhs);
-        if (!atom.lhs_factor.empty()) {
-          op.factor = property_term(atom.lhs_factor);
-          op.has_factor = true;
-        }
-        if (!atom.rhs_property.empty()) {
-          op.rhs = property_term(atom.rhs_property);
-        } else {
-          CompiledPredicate::Term term;  // pure constant
-          term.const_kind = atom.rhs_const.kind();
-          switch (atom.rhs_const.kind()) {
-            case Value::Kind::kNumber: term.number = atom.rhs_const.as_number(); break;
-            case Value::Kind::kText:
-              term.text = support::intern_symbol(atom.rhs_const.as_text());
-              break;
-            case Value::Kind::kFlag: term.flag = atom.rhs_const.as_flag(); break;
-            case Value::Kind::kEmpty: break;
-          }
-          op.rhs = term;
-        }
-        predicate.ops.push_back(std::move(op));
+    for (const PredicateAtom& atom : cc->atoms()) {
+      CompiledPredicate::Op op;
+      op.cmp = atom.cmp;
+      op.lhs = property_term(atom.lhs);
+      if (!atom.lhs_factor.empty()) {
+        op.factor = property_term(atom.lhs_factor);
+        op.has_factor = true;
       }
+      if (!atom.rhs_property.empty()) {
+        op.rhs = property_term(atom.rhs_property);
+      } else {
+        CompiledPredicate::Term term;  // pure constant
+        term.const_kind = atom.rhs_const.kind();
+        switch (atom.rhs_const.kind()) {
+          case Value::Kind::kNumber: term.number = atom.rhs_const.as_number(); break;
+          case Value::Kind::kText:
+            term.text = support::intern_symbol(atom.rhs_const.as_text());
+            break;
+          case Value::Kind::kFlag: term.flag = atom.rhs_const.as_flag(); break;
+          case Value::Kind::kEmpty: break;
+        }
+        op.rhs = term;
+      }
+      predicate.ops.push_back(std::move(op));
     }
     predicates.push_back(std::move(predicate));
   }
-}
-
-// ---------------------------------------------------------------------------
-// BindingsOverlay
-
-std::size_t BindingsOverlay::apply(const Core& core) {
-  std::size_t writes = 0;
-  undo_.clear();
-  for (const CoreBinding& b : core.bindings()) {
-    const auto [it, inserted] = base_->try_emplace(*b.name, b.value);
-    Undo undo;
-    undo.key = b.name;
-    if (!inserted) {
-      if (it->second == b.value) continue;  // overlay is a no-op for this key
-      undo.previous = it->second;
-      it->second = b.value;
-    }
-    undo_.push_back(std::move(undo));
-    ++writes;
-  }
-  return writes;
-}
-
-void BindingsOverlay::revert() {
-  for (auto it = undo_.rbegin(); it != undo_.rend(); ++it) {
-    if (it->previous.empty()) {
-      base_->erase(*it->key);
-    } else {
-      (*base_)[*it->key] = std::move(it->previous);
-    }
-  }
-  undo_.clear();
 }
 
 // ---------------------------------------------------------------------------
@@ -808,106 +773,86 @@ SurvivorMask run_core_filter(const CoreFilterPlan& plan, const FilterQuery& quer
   // the surviving mask reproduces a per-core early exit — a row killed by
   // predicate i is never examined by predicate i+1 — so the
   // ConstraintEvaluated totals match a per-core loop exactly.
-  Bindings merged;       // lazily initialized scratch for opaque predicates
-  bool merged_ready = false;
   for (const CompiledPredicate& predicate : plan.predicates) {
     const std::size_t examined = popcount(mask, words);
     if (examined == 0) break;
     telemetry.count(EventKind::kConstraintEvaluated, examined);
-    if (predicate.compiled) {
-      predicate.constraint->note_bulk_evaluations(examined);
-      // Resolve terms and pick word-kernel modes once; the word loop
-      // only reads the resolved program.
-      const std::size_t ref_count = predicate.references.size();
-      ResolvedTerm* references = arena.alloc_array<ResolvedTerm>(ref_count);
-      for (std::size_t i = 0; i < ref_count; ++i) {
-        ::new (static_cast<void*>(references + i))
-            ResolvedTerm(resolve_term(table, predicate.references[i], *query.bound));
-      }
-      const std::size_t op_count = predicate.ops.size();
-      ResolvedOp* ops = arena.alloc_array<ResolvedOp>(op_count);
-      for (std::size_t i = 0; i < op_count; ++i) {
-        const CompiledPredicate::Op& op = predicate.ops[i];
-        ResolvedOp* resolved = ::new (static_cast<void*>(ops + i)) ResolvedOp();
-        resolved->cmp = op.cmp;
-        resolved->lhs = resolve_term(table, op.lhs, *query.bound);
-        if (op.has_factor) {
-          resolved->factor = resolve_term(table, op.factor, *query.bound);
-          resolved->has_factor = true;
-        }
-        resolved->rhs = resolve_term(table, op.rhs, *query.bound);
-        classify_op(*resolved);
-      }
-      for_each_word(words, [&](std::size_t w) {
-        const std::uint64_t alive = mask[w];
-        if (alive == 0) return;
-        // violated() evaluates nothing unless every referenced property
-        // has a value (core column or session fallback); unevaluable
-        // rows are kept.
-        std::uint64_t evaluable = ~std::uint64_t{0};
-        for (std::size_t i = 0; i < ref_count && evaluable != 0; ++i) {
-          const ResolvedTerm& reference = references[i];
-          std::uint64_t avail =
-              reference.fallback.kind != Value::Kind::kEmpty ? ~std::uint64_t{0} : 0;
-          if (reference.column != nullptr) avail |= reference.column->present[w];
-          evaluable &= avail;
-        }
-        std::uint64_t viol = alive & evaluable;  // violated iff every atom holds
-        for (std::size_t i = 0; i < op_count && viol != 0; ++i) {
-          const ResolvedOp& op = ops[i];
-          std::uint64_t holds = 0;
-          std::uint64_t patch = 0;
-          switch (op.mode) {
-            case OpMode::kNum:
-              holds = kops.cmp_num(lane_at(op.lhs_lane, w), lane_at(op.factor_lane, w),
-                                   op.has_factor, to_simd(op.cmp), lane_at(op.rhs_lane, w));
-              for (int p = 0; p < op.patch_count; ++p) patch |= ~op.patch_present[p][w];
-              break;
-            case OpMode::kSym:
-              holds = kops.eq_sym(op.sym_lhs + (w << 6),
-                                  op.sym_rhs != nullptr ? op.sym_rhs + (w << 6) : nullptr,
-                                  op.sym_const, op.sym_negate);
-              for (int p = 0; p < op.patch_count; ++p) patch |= ~op.patch_present[p][w];
-              break;
-            case OpMode::kScalar:
-              patch = ~std::uint64_t{0};
-              break;
-          }
-          // Rows the word kernel could not see faithfully (a column
-          // value absent, falling back to a session binding; or a
-          // scalar-only op) re-run the exact scalar evaluation.
-          std::uint64_t bits = patch & viol;
-          while (bits != 0) {
-            const int bit = std::countr_zero(bits);
-            const std::uint64_t one = std::uint64_t{1} << bit;
-            if (op_holds_row(op, (w << 6) + static_cast<std::size_t>(bit))) {
-              holds |= one;
-            } else {
-              holds &= ~one;
-            }
-            bits &= bits - 1;
-          }
-          viol &= holds;
-        }
-        mask[w] = alive & ~viol;
-      });
-    } else {
-      // Opaque lambda: row-wise through the overlay (the scratch map is
-      // shared across rows).
-      if (!merged_ready) {
-        merged = *query.bound;
-        merged_ready = true;
-      }
-      BindingsOverlay overlay(merged);
-      std::uint64_t overlay_writes = 0;
-      sweep_rows(mask, words, [&](std::size_t row) {
-        overlay_writes += overlay.apply(*table.cores()[row]);
-        const bool keep = !predicate.constraint->violated(merged);
-        overlay.revert();
-        return keep;
-      });
-      telemetry.count(EventKind::kOverlayWrite, overlay_writes);
+    predicate.constraint->note_bulk_evaluations(examined);
+    // Resolve terms and pick word-kernel modes once; the word loop
+    // only reads the resolved program.
+    const std::size_t ref_count = predicate.references.size();
+    ResolvedTerm* references = arena.alloc_array<ResolvedTerm>(ref_count);
+    for (std::size_t i = 0; i < ref_count; ++i) {
+      ::new (static_cast<void*>(references + i))
+          ResolvedTerm(resolve_term(table, predicate.references[i], *query.bound));
     }
+    const std::size_t op_count = predicate.ops.size();
+    ResolvedOp* ops = arena.alloc_array<ResolvedOp>(op_count);
+    for (std::size_t i = 0; i < op_count; ++i) {
+      const CompiledPredicate::Op& op = predicate.ops[i];
+      ResolvedOp* resolved = ::new (static_cast<void*>(ops + i)) ResolvedOp();
+      resolved->cmp = op.cmp;
+      resolved->lhs = resolve_term(table, op.lhs, *query.bound);
+      if (op.has_factor) {
+        resolved->factor = resolve_term(table, op.factor, *query.bound);
+        resolved->has_factor = true;
+      }
+      resolved->rhs = resolve_term(table, op.rhs, *query.bound);
+      classify_op(*resolved);
+    }
+    for_each_word(words, [&](std::size_t w) {
+      const std::uint64_t alive = mask[w];
+      if (alive == 0) return;
+      // violated() evaluates nothing unless every referenced property
+      // has a value (core column or session fallback); unevaluable
+      // rows are kept.
+      std::uint64_t evaluable = ~std::uint64_t{0};
+      for (std::size_t i = 0; i < ref_count && evaluable != 0; ++i) {
+        const ResolvedTerm& reference = references[i];
+        std::uint64_t avail =
+            reference.fallback.kind != Value::Kind::kEmpty ? ~std::uint64_t{0} : 0;
+        if (reference.column != nullptr) avail |= reference.column->present[w];
+        evaluable &= avail;
+      }
+      std::uint64_t viol = alive & evaluable;  // violated iff every atom holds
+      for (std::size_t i = 0; i < op_count && viol != 0; ++i) {
+        const ResolvedOp& op = ops[i];
+        std::uint64_t holds = 0;
+        std::uint64_t patch = 0;
+        switch (op.mode) {
+          case OpMode::kNum:
+            holds = kops.cmp_num(lane_at(op.lhs_lane, w), lane_at(op.factor_lane, w),
+                                 op.has_factor, to_simd(op.cmp), lane_at(op.rhs_lane, w));
+            for (int p = 0; p < op.patch_count; ++p) patch |= ~op.patch_present[p][w];
+            break;
+          case OpMode::kSym:
+            holds = kops.eq_sym(op.sym_lhs + (w << 6),
+                                op.sym_rhs != nullptr ? op.sym_rhs + (w << 6) : nullptr,
+                                op.sym_const, op.sym_negate);
+            for (int p = 0; p < op.patch_count; ++p) patch |= ~op.patch_present[p][w];
+            break;
+          case OpMode::kScalar:
+            patch = ~std::uint64_t{0};
+            break;
+        }
+        // Rows the word kernel could not see faithfully (a column
+        // value absent, falling back to a session binding; or a
+        // scalar-only op) re-run the exact scalar evaluation.
+        std::uint64_t bits = patch & viol;
+        while (bits != 0) {
+          const int bit = std::countr_zero(bits);
+          const std::uint64_t one = std::uint64_t{1} << bit;
+          if (op_holds_row(op, (w << 6) + static_cast<std::size_t>(bit))) {
+            holds |= one;
+          } else {
+            holds &= ~one;
+          }
+          bits &= bits - 1;
+        }
+        viol &= holds;
+      }
+      mask[w] = alive & ~viol;
+    });
   }
 
   result.count = popcount(mask, words);

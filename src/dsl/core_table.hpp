@@ -2,8 +2,8 @@
 //
 // A plain candidate filter re-interprets every core on every cold query:
 // string-keyed map lookups per decided issue, a merged-bindings map per
-// core, and an opaque violated() call per (core, predicate). This file is
-// the data-oriented engine that replaces it:
+// core, and a violated() call per (core, predicate). This file is the
+// data-oriented engine that replaces it:
 //
 //  * CoreTable — a structure-of-arrays snapshot of one CDO subtree's
 //    cores. One contiguous column per bound property / metric (keyed by
@@ -13,10 +13,9 @@
 //    Payloads are padded to a whole number of 64-row words so the SIMD
 //    kernels (support/simd.hpp) read full blocks branch-free; symbol
 //    lookups go through sorted flat vectors, not std::map nodes.
-//  * CompiledPredicate — a declarative ConsistencyConstraint (see
-//    PredicateAtom) lowered once per index generation to column indexes
-//    and comparison opcodes. Opaque lambda predicates stay uncompiled
-//    and are evaluated row-wise through a BindingsOverlay.
+//  * CompiledPredicate — a predicate ConsistencyConstraint (a
+//    PredicateAtom conjunction) lowered once per index generation to
+//    column indexes and comparison opcodes.
 //  * CoreFilterPlan — CoreTable + one CompiledPredicate per predicate
 //    constraint of the CDO's ConstraintIndex, built lazily by
 //    DesignSpaceLayer::filter_plan() and primed by SharedLayer before
@@ -232,8 +231,7 @@ class CoreTable {
   std::shared_ptr<const void> keepalive_;  ///< pins aliased payload backing
 };
 
-/// One predicate constraint lowered against a CoreTable. `compiled` is
-/// false for opaque lambda predicates (evaluated row-wise instead).
+/// One predicate constraint lowered against a CoreTable.
 struct CompiledPredicate {
   /// A property reference or constant inside an atom, resolved against
   /// the table: `column` >= 0 means a binding column exists for the
@@ -258,7 +256,6 @@ struct CompiledPredicate {
   };
 
   const ConsistencyConstraint* constraint = nullptr;
-  bool compiled = false;
   std::vector<Term> references;  ///< every referenced property (dedup'd)
   std::vector<Op> ops;
 };
@@ -368,26 +365,5 @@ MetricRange fold_metric(const CoreTable::Column& metric, const SurvivorMask& mas
 void fold_metric_by_key(const CoreTable::Column& metric, const CoreTable::Column& key,
                         const SurvivorMask& mask, const std::vector<support::Symbol>& keys,
                         std::vector<MetricRange>& groups);
-
-/// Applies one core's bindings on top of a session snapshot and undoes
-/// them on revert() — the opaque-predicate path's allocation-free
-/// alternative to a per-core `Bindings merged = bound` rebuild. apply()
-/// returns the number of map writes performed (the kOverlayWrite
-/// telemetry count).
-class BindingsOverlay {
- public:
-  explicit BindingsOverlay(Bindings& base) : base_(&base) {}
-
-  std::size_t apply(const Core& core);
-  void revert();
-
- private:
-  struct Undo {
-    const std::string* key = nullptr;
-    Value previous;  ///< empty => key was absent, revert erases it
-  };
-  Bindings* base_;
-  std::vector<Undo> undo_;
-};
 
 }  // namespace dslayer::dsl

@@ -14,10 +14,14 @@
 //   * every reuse library with its cores (class paths, bindings, metrics,
 //     design-data views).
 //
-// NOT serialized (they are code, not data — documented on export):
-//   * consistency-constraint relations (predicates/formulas/estimator
-//     bindings are C++ callables; the export embeds their descriptions as
-//     comments so a receiving environment can re-author them),
+// NOT serialized (documented on export; the export embeds every
+// constraint's description as a comment so a receiving environment can
+// re-author it):
+//   * predicate constraints (CC1/CC4) — atom conjunctions, so data, but
+//     this text format does not carry atoms yet (the catalog journal,
+//     storage/catalog_journal.hpp, does),
+//   * formula and estimator-binding constraints (C++ callables / tool
+//     names bound to code),
 //   * behavioral descriptions (structural IR; re-attach programmatically),
 //   * custom core filters and context builders.
 //

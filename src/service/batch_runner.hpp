@@ -59,7 +59,7 @@ struct BatchSummary {
 struct DirectiveContext {
   SessionManager* manager = nullptr;
   RequestExecutor* executor = nullptr;
-  FrontEndStatsFn front_end;
+  FrontEndStatsFn front_end{};
   /// Durable-catalog handle (null without --data): enables `!snapshot`
   /// (checkpoint under the shared read lock — readers keep running,
   /// writers are excluded) and `!restore` (re-boot from disk inside a

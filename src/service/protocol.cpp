@@ -141,7 +141,7 @@ std::optional<Request> parse_request(std::string_view line, std::string* error) 
 Response invalid_request_response(std::uint64_t id, const std::string& error) {
   Response bad;
   bad.id = id;
-  bad.session = "-";
+  bad.session = std::string(1, '-');
   bad.status = ResponseStatus::kError;
   bad.code = ErrorCode::kInvalidRequest;
   bad.output = cat("error: ", error, "\n");

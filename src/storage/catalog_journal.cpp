@@ -106,7 +106,9 @@ CatalogRecord CatalogRecord::add_cores(std::string library, std::vector<CoreReco
 }
 
 CatalogRecord CatalogRecord::add_constraint(const dsl::ConsistencyConstraint& cc) {
-  DSLAYER_REQUIRE(cc.compilable(), "only declarative (atom-based) constraints are journalable");
+  DSLAYER_REQUIRE(cc.kind() == dsl::RelationKind::kInconsistentOptions ||
+                      cc.kind() == dsl::RelationKind::kDominanceElimination,
+                  "only predicate constraints are journalable");
   CatalogRecord r;
   r.kind = Kind::kAddConstraint;
   r.id = cc.id();

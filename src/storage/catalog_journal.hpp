@@ -2,17 +2,17 @@
 //
 // Everything that changes the DATA of a design space layer at run time —
 // cores arriving from IP providers (singly or as import batches),
-// declarative consistency constraints, and re-index requests — is
+// predicate consistency constraints, and re-index requests — is
 // expressible as a CatalogRecord: a small struct that encodes to one WAL
 // frame and applies deterministically to a layer. Replaying the journal
 // against the same code-defined hierarchy reproduces the catalog exactly
 // (byte-identical under dsl::export_layer — the chaos test's oracle).
 //
-// Out of scope, deliberately: lambda-based constraints, behavioral
-// descriptions, custom core filters. They are code, not data — the same
-// boundary dsl/serialize.hpp draws — and are rebuilt by the layer factory
-// before replay begins. Declarative constraints (inconsistent_when /
-// dominance_when) are pure data and journal fine.
+// Out of scope, deliberately: formula and estimator constraints,
+// behavioral descriptions, custom core filters. They are code, not data,
+// and are rebuilt by the layer factory before replay begins. Predicate
+// constraints (inconsistent_when / dominance_when) are atom conjunctions,
+// pure data, and journal fine.
 #pragma once
 
 #include <cstdint>

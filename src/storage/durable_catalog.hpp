@@ -6,7 +6,7 @@
 //   <dir>/sessions/      per-session command journals (SessionStore)
 //
 // Boot order: the factory builds the CODE parts of the layer (hierarchy,
-// lambda constraints, estimators, hooks); the DurableCatalog then loads
+// its constraints, estimators, hooks); the DurableCatalog then loads
 // the snapshot (if any) onto it, replays the journal tail, and opens the
 // journal for appending. Every journal frame carries a monotonically
 // increasing sequence number; the snapshot records the highest sequence
@@ -35,7 +35,7 @@ namespace dslayer::storage {
 
 struct DurableOptions {
   std::string dir;
-  WalOptions wal;
+  WalOptions wal{};
   /// Re-hash snapshot section payloads at load (boot stays fast without).
   bool verify_snapshot_payloads = false;
 };

@@ -59,11 +59,10 @@ enum class EventKind : std::uint8_t {
   kCacheMiss,            ///< counted only — a memoized query recomputed
   kIndexRebuild,         ///< counted only — the subtree core index was (re)built
   kQueryTimed,           ///< counted only — one per record_timing() sample
-  kOverlayWrite,         ///< counted only (hot path) — per-core binding-overlay map writes
   kPrefilterSkip,        ///< counted only (hot path) — rows a declared prefilter spared the lambda
 };
 
-inline constexpr std::size_t kEventKindCount = 15;
+inline constexpr std::size_t kEventKindCount = 14;
 
 /// Stable wire name ("Decision", "CacheHit", ...).
 const char* to_string(EventKind kind);

@@ -194,7 +194,7 @@ struct TracerConfig {
   /// truncation notice). Both drops count in stats().flight_dropped.
   std::size_t flight_capacity = 256;
   /// Optional JSONL file for flight records (--flight-recorder PATH).
-  std::string flight_path;
+  std::string flight_path{};
   /// Completed sampled traces retained per thread ring.
   std::size_t ring_capacity = 128;
 };

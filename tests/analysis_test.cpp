@@ -4,6 +4,7 @@
 
 #include "analysis/evaluation_space.hpp"
 #include "support/error.hpp"
+#include "support/strings.hpp"
 
 namespace dslayer::analysis {
 namespace {
@@ -93,7 +94,7 @@ TEST(ClusterAuto, PicksTheNaturalK) {
   std::vector<EvalPoint> points;
   for (int g = 0; g < 3; ++g) {
     for (int i = 0; i < 4; ++i) {
-      points.push_back(point("p" + std::to_string(g * 4 + i), g * 100 + i, g * 100 + 2 * i));
+      points.push_back(point(cat("p", g * 4 + i), g * 100 + i, g * 100 + 2 * i));
     }
   }
   const Clustering c = cluster_auto(points, kMetrics, 6);

@@ -1,7 +1,7 @@
 // Oracle for the candidates() engine (DESIGN.md Section 10): every query
 // below runs on a session (the columnar CoreFilterPlan sweep) and is
 // recomputed by a reference scan written in this file from the session's
-// public state — a plain per-core loop with no overlay trick, no telemetry
+// public state — a plain per-core loop over merged bindings, no telemetry
 // and no prefilters. The two must agree on
 //   * the candidate set, element for element (same Core pointers, same order);
 //   * metric_range() and option_ranges() built on top of it, bit for bit
@@ -14,8 +14,9 @@
 // Coverage deliberately spans every engine path: interned-text equality
 // columns, numeric columns, mixed-kind (boxed) columns, missing bindings and
 // metrics, declarative compliance (at-least / at-most / equals), custom
-// per-core filters, compiled predicate programs, the opaque-lambda overlay
-// fallback, session-only property resolution, plan invalidation after
+// per-core filters, compiled predicate programs (word kernels and the
+// scalar patch path over mixed-kind columns), session-only property
+// resolution, plan invalidation after
 // index_cores() / add_constraint(), and the what-if shapes: NaN and absent
 // metric cells, signed-zero ties, generalized issues at their owner and
 // after descending, and integration parameters.
@@ -298,7 +299,8 @@ struct Oracle {
 /// A layer whose cores randomly mix kinds, drop bindings, and skip metrics —
 /// the shapes the columnar presence bitmaps and kMixed columns exist for.
 /// Filtering exercises declarative compliance (>=, <=, ==), a custom core
-/// filter (Cert), compiled predicates (D1, D2), and an opaque lambda (O1).
+/// filter (Cert), and compiled predicates over text / number columns (D1,
+/// D2) and over the mixed-kind Grade column (O1).
 std::unique_ptr<DesignSpaceLayer> oracle_layer(unsigned seed, std::size_t core_count) {
   auto layer = std::make_unique<DesignSpaceLayer>("oracle");
   Cdo& node = layer->space().add_root("Node");
@@ -316,7 +318,7 @@ std::unique_ptr<DesignSpaceLayer> oracle_layer(unsigned seed, std::size_t core_c
   node.add_property(Property::design_issue("Grade", ValueDomain::any(), ""));
   node.add_property(Property::design_issue("Phantom", ValueDomain::options({"on", "off"}), ""));
 
-  // D1/D2: compiled into the columnar predicate program.
+  // D1/D2: word-kernel ops over text and number columns.
   layer->add_constraint(ConsistencyConstraint::inconsistent_when(
       "D1", "t3 cannot drive wide datapaths", {PropertyPath::parse("Tech@Node")},
       {PropertyPath::parse("Width@Node")},
@@ -327,15 +329,13 @@ std::unique_ptr<DesignSpaceLayer> oracle_layer(unsigned seed, std::size_t core_c
       {PropertyPath::parse("Tech@Node")},
       {PredicateAtom::equals("Mode", Value::text("strict")),
        PredicateAtom::equals("Tech", Value::text("t1"))}));
-  // O1: opaque lambda — the columnar engine must fall back to the
-  // merged-bindings overlay for this one.
-  layer->add_constraint(ConsistencyConstraint::inconsistent_options(
+  // O1: Grade is a mixed-kind column, so its op runs the scalar patch
+  // path on every row; a text grade never compares with a number.
+  layer->add_constraint(ConsistencyConstraint::inconsistent_when(
       "O1", "numeric grades above 5 need t2", {PropertyPath::parse("Tech@Node")},
-      {PropertyPath::parse("Grade@Node")}, [](const Bindings& b) {
-        const Value grade = dsl::get_or_empty(b, "Grade");
-        return grade.kind() == Value::Kind::kNumber && grade.as_number() > 5.0 &&
-               dsl::get_or_empty(b, "Tech").as_text() != "t2";
-      }));
+      {PropertyPath::parse("Grade@Node")},
+      {PredicateAtom::compares("Grade", Cmp::kGt, 5.0),
+       PredicateAtom::not_equals("Tech", Value::text("t2"))}));
   // Custom per-core filter: gold certification demands a score of 50+.
   layer->set_core_filter("Cert", [](const Core& core, const Bindings& bindings) {
     const double floor = dsl::get_or_empty(bindings, "Cert").as_text() == "gold" ? 50.0 : 10.0;
@@ -440,9 +440,6 @@ TEST_P(ColumnarOracleFuzz, RandomAbstractWalkAgrees) {
     oracle.expect_candidates_agree();
   }
   EXPECT_GT(oracle.cold_sweeps, 0u);
-  // The opaque O1 constraint forces the columnar engine onto its overlay
-  // fallback, so the session must have paid overlay writes at some point.
-  EXPECT_GT(oracle.session.telemetry().count_of(telemetry::EventKind::kOverlayWrite), 0u);
 }
 
 INSTANTIATE_TEST_SUITE_P(Walks, ColumnarOracleFuzz, ::testing::Range(1u, 13u));
@@ -514,9 +511,6 @@ TEST_P(ColumnarCryptoOracle, RandomCryptoWalkAgrees) {
     }
   }
   EXPECT_GT(oracle.cold_sweeps, 0u);
-  // Every crypto predicate constraint is declarative: the columnar engine
-  // must never have taken the overlay fallback.
-  EXPECT_EQ(oracle.session.telemetry().count_of(telemetry::EventKind::kOverlayWrite), 0u);
 }
 
 INSTANTIATE_TEST_SUITE_P(Walks, ColumnarCryptoOracle, ::testing::Range(1u, 9u));

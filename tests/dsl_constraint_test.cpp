@@ -14,21 +14,25 @@ Bindings bind(std::initializer_list<std::pair<std::string, Value>> items) {
 }
 
 ConsistencyConstraint odd_modulo_cc() {
-  return ConsistencyConstraint::inconsistent_options(
+  return ConsistencyConstraint::inconsistent_when(
       "CC1", "Montgomery requires odd modulo", {PropertyPath::parse("Odd@Multiplier")},
-      {PropertyPath::parse("Algorithm@*.Hardware")}, [](const Bindings& b) {
-        return get_or_empty(b, "Odd").as_text() == "No" &&
-               get_or_empty(b, "Algorithm").as_text() == "Montgomery";
-      });
+      {PropertyPath::parse("Algorithm@*.Hardware")},
+      {PredicateAtom::equals("Odd", Value::text("No")),
+       PredicateAtom::equals("Algorithm", Value::text("Montgomery"))});
 }
 
 TEST(Constraint, BuilderValidations) {
-  EXPECT_THROW(ConsistencyConstraint::inconsistent_options(
-                   "", "d", {}, {PropertyPath::parse("X")}, [](const Bindings&) { return false; }),
+  const std::vector<PredicateAtom> atoms = {PredicateAtom::equals("X", Value::text("x"))};
+  EXPECT_THROW(
+      ConsistencyConstraint::inconsistent_when("", "d", {}, {PropertyPath::parse("X")}, atoms),
+      DefinitionError);
+  EXPECT_THROW(ConsistencyConstraint::inconsistent_when("id", "d", {}, {}, atoms),
                DefinitionError);
-  EXPECT_THROW(ConsistencyConstraint::inconsistent_options("id", "d", {}, {},
-                                                           [](const Bindings&) { return false; }),
-               DefinitionError);
+  EXPECT_THROW(
+      ConsistencyConstraint::inconsistent_when("id", "d", {}, {PropertyPath::parse("X")}, {}),
+      PreconditionError);
+  EXPECT_THROW(ConsistencyConstraint::dominance_when("id", "d", {}, {PropertyPath::parse("X")}, {}),
+               PreconditionError);
   EXPECT_THROW(ConsistencyConstraint::estimator("id", "d", {}, PropertyPath::parse("X"), ""),
                DefinitionError);
 }
@@ -53,12 +57,10 @@ TEST(Constraint, ViolatedOnlyWhenAllBound) {
 }
 
 TEST(Constraint, DominanceSharesMechanicsDistinctKind) {
-  const ConsistencyConstraint cc = ConsistencyConstraint::dominance(
+  const ConsistencyConstraint cc = ConsistencyConstraint::dominance_when(
       "CC4", "CSA dominates", {PropertyPath::parse("EOL")}, {PropertyPath::parse("Adder")},
-      [](const Bindings& b) {
-        return get_or_empty(b, "EOL").as_number() >= 32 &&
-               get_or_empty(b, "Adder").as_text() != "CSA";
-      });
+      {PredicateAtom::compares("EOL", PredicateAtom::Cmp::kGe, 32),
+       PredicateAtom::not_equals("Adder", Value::text("CSA"))});
   EXPECT_EQ(cc.kind(), RelationKind::kDominanceElimination);
   EXPECT_TRUE(
       cc.violated(bind({{"EOL", Value::number(64)}, {"Adder", Value::text("CLA")}})));

@@ -36,21 +36,21 @@ std::unique_ptr<DesignSpaceLayer> rich_layer() {
   hw.specialize("Q");
   block.specialize("SW");
 
-  layer->add_constraint(ConsistencyConstraint::inconsistent_options(
+  // O1 orders only: no power of two is negative, so it never vetoes.
+  layer->add_constraint(ConsistencyConstraint::inconsistent_when(
       "O1", "width follows tech", {PropertyPath::parse("Tech@*.HW")},
-      {PropertyPath::parse("Width@*.HW")}, [](const Bindings&) { return false; }));
-  layer->add_constraint(ConsistencyConstraint::inconsistent_options(
+      {PropertyPath::parse("Width@*.HW")},
+      {PredicateAtom::compares("Width", PredicateAtom::Cmp::kLt, 0.0)}));
+  layer->add_constraint(ConsistencyConstraint::inconsistent_when(
       "V1", "scheme Q only for small blocks", {PropertyPath::parse("Size@Block")},
-      {PropertyPath::parse("Scheme@*.HW")}, [](const Bindings& b) {
-        return get_or_empty(b, "Size").as_number() >= 100 &&
-               get_or_empty(b, "Scheme").as_text() == "Q";
-      }));
-  layer->add_constraint(ConsistencyConstraint::dominance(
+      {PropertyPath::parse("Scheme@*.HW")},
+      {PredicateAtom::compares("Size", PredicateAtom::Cmp::kGe, 100),
+       PredicateAtom::equals("Scheme", Value::text("Q"))}));
+  layer->add_constraint(ConsistencyConstraint::dominance_when(
       "D1", "old tech dominated on tight budgets", {PropertyPath::parse("Budget@Block")},
-      {PropertyPath::parse("Tech@*.HW")}, [](const Bindings& b) {
-        return get_or_empty(b, "Budget").as_number() <= 10 &&
-               get_or_empty(b, "Tech").as_text() == "old";
-      }));
+      {PropertyPath::parse("Tech@*.HW")},
+      {PredicateAtom::compares("Budget", PredicateAtom::Cmp::kLe, 10),
+       PredicateAtom::equals("Tech", Value::text("old"))}));
   layer->add_constraint(ConsistencyConstraint::formula(
       "F1", "cycles = size / width",
       {PropertyPath::parse("Size@Block"), PropertyPath::parse("Width@*.HW")},

@@ -1,5 +1,7 @@
 #include <gtest/gtest.h>
 
+#include <limits>
+
 #include "dsl/layer.hpp"
 #include "support/error.hpp"
 
@@ -23,6 +25,13 @@ Core core_with(std::string name, std::initializer_list<std::pair<std::string, Va
   Core c(std::move(name), "Block");
   for (auto& [k, v] : bindings) c.bind(k, v);
   return c;
+}
+
+/// An atom no binding satisfies: nothing is below -infinity, and a
+/// non-number never compares.
+PredicateAtom never_holds(std::string property) {
+  return PredicateAtom::compares(std::move(property), PredicateAtom::Cmp::kLt,
+                                 -std::numeric_limits<double>::infinity());
 }
 
 TEST(Core, BindingAndMetricAccess) {
@@ -120,12 +129,10 @@ TEST(Layer, ReindexIsIdempotent) {
 
 TEST(Layer, ConstraintManagement) {
   auto layer = make_layer();
-  layer->add_constraint(ConsistencyConstraint::inconsistent_options(
-      "T1", "", {}, {PropertyPath::parse("Flavor@*.Fast")},
-      [](const Bindings&) { return false; }));
-  EXPECT_THROW(layer->add_constraint(ConsistencyConstraint::inconsistent_options(
-                   "T1", "", {}, {PropertyPath::parse("X")},
-                   [](const Bindings&) { return false; })),
+  layer->add_constraint(ConsistencyConstraint::inconsistent_when(
+      "T1", "", {}, {PropertyPath::parse("Flavor@*.Fast")}, {never_holds("Flavor")}));
+  EXPECT_THROW(layer->add_constraint(ConsistencyConstraint::inconsistent_when(
+                   "T1", "", {}, {PropertyPath::parse("X")}, {never_holds("X")})),
                DefinitionError);
   EXPECT_EQ(layer->constraints_at(*layer->space().find("Block.Fast")).size(), 1u);
   EXPECT_TRUE(layer->constraints_at(*layer->space().find("Block.Slow")).empty());
@@ -143,9 +150,8 @@ TEST(Layer, ValidateFindsUnspecializedOptions) {
 
 TEST(Layer, ValidateFindsDanglingConstraintAndEstimator) {
   auto layer = make_layer();
-  layer->add_constraint(ConsistencyConstraint::inconsistent_options(
-      "T1", "", {}, {PropertyPath::parse("X@No.Such.Cdo")},
-      [](const Bindings&) { return false; }));
+  layer->add_constraint(ConsistencyConstraint::inconsistent_when(
+      "T1", "", {}, {PropertyPath::parse("X@No.Such.Cdo")}, {never_holds("X")}));
   layer->add_constraint(ConsistencyConstraint::estimator(
       "T2", "", {}, PropertyPath::parse("Y@Block"), "NoSuchTool"));
   const auto findings = layer->validate();

@@ -30,6 +30,7 @@
 #include "support/cancel.hpp"
 #include "support/error.hpp"
 #include "support/rng.hpp"
+#include "support/strings.hpp"
 
 namespace dslayer::dsl {
 namespace {
@@ -47,18 +48,16 @@ std::unique_ptr<DesignSpaceLayer> chained_layer() {
   node.add_property(Property::design_issue("Tech", ValueDomain::options({"new", "old"}), ""));
   node.add_property(Property::design_issue("Width", ValueDomain::options({"w16", "w32"}), ""));
 
-  layer->add_constraint(ConsistencyConstraint::inconsistent_options(
+  layer->add_constraint(ConsistencyConstraint::inconsistent_when(
       "X1", "old tech cannot drive w16", {PropertyPath::parse("Tech@Node")},
-      {PropertyPath::parse("Width@Node")}, [](const Bindings& b) {
-        return get_or_empty(b, "Tech").as_text() == "old" &&
-               get_or_empty(b, "Width").as_text() == "w16";
-      }));
-  layer->add_constraint(ConsistencyConstraint::inconsistent_options(
+      {PropertyPath::parse("Width@Node")},
+      {PredicateAtom::equals("Tech", Value::text("old")),
+       PredicateAtom::equals("Width", Value::text("w16"))}));
+  layer->add_constraint(ConsistencyConstraint::inconsistent_when(
       "X2", "strict mode forbids old tech", {PropertyPath::parse("Mode@Node")},
-      {PropertyPath::parse("Tech@Node")}, [](const Bindings& b) {
-        return get_or_empty(b, "Mode").as_text() == "strict" &&
-               get_or_empty(b, "Tech").as_text() == "old";
-      }));
+      {PropertyPath::parse("Tech@Node")},
+      {PredicateAtom::equals("Mode", Value::text("strict")),
+       PredicateAtom::equals("Tech", Value::text("old"))}));
 
   ReuseLibrary& lib = layer->add_library("cores");
   const auto add = [&lib](const char* name, const char* tech, const char* width, double area) {
@@ -239,7 +238,7 @@ std::unique_ptr<DesignSpaceLayer> walk_layer(std::size_t core_count) {
   Rng rng(17);
   ReuseLibrary& lib = layer->add_library("cores");
   for (std::size_t i = 0; i < core_count; ++i) {
-    Core c("c" + std::to_string(i), "R");
+    Core c(cat("c", i), "R");
     if (rng.next_below(4) != 0) {
       const bool is_a = rng.next_bool();
       c.bind("Mode", Value::text(is_a ? "A" : "B"));
@@ -438,7 +437,7 @@ TEST(SweepMemo, DeadlinePassingMidSweepThrowsAndLeavesTheSessionAsItWas) {
       Property::requirement("Budget", ValueDomain::real_range(0.0, 1e6), ""));
   ReuseLibrary& lib = layer->add_library("cores");
   for (std::size_t i = 0; i < kCores; ++i) {
-    Core c("c" + std::to_string(i), "R");
+    Core c(cat("c", i), "R");
     c.set_metric("area", static_cast<double>(i % 1000));
     lib.add(std::move(c));
   }
@@ -507,9 +506,9 @@ TEST(ConstraintIndex, AddConstraintInvalidates) {
   auto layer = chained_layer();
   const Cdo& node = *layer->space().roots()[0];
   EXPECT_EQ(layer->constraints_at(node).size(), 2u);
-  layer->add_constraint(ConsistencyConstraint::inconsistent_options(
-      "X3", "later rule", {PropertyPath::parse("Mode@Node")},
-      {PropertyPath::parse("Width@Node")}, [](const Bindings&) { return false; }));
+  layer->add_constraint(ConsistencyConstraint::inconsistent_when(
+      "X3", "later rule", {PropertyPath::parse("Mode@Node")}, {PropertyPath::parse("Width@Node")},
+      {PredicateAtom::equals("Width", Value::text("w64"))}));  // no option is w64
   // The rebuilt index sees the new constraint and the old pointers are gone.
   const auto& all = layer->constraints_at(node);
   EXPECT_EQ(all.size(), 3u);
@@ -538,9 +537,10 @@ TEST(DuplicateNames, StillRejectedByTheNameSets) {
   ReuseLibrary* lib = layer->library("cores");
   ASSERT_NE(lib, nullptr);
   EXPECT_THROW(lib->add(Core("new_16", "Node")), DefinitionError);
-  EXPECT_THROW(layer->add_constraint(ConsistencyConstraint::inconsistent_options(
+  EXPECT_THROW(layer->add_constraint(ConsistencyConstraint::inconsistent_when(
                    "X1", "dup", {PropertyPath::parse("Mode@Node")},
-                   {PropertyPath::parse("Tech@Node")}, [](const Bindings&) { return false; })),
+                   {PropertyPath::parse("Tech@Node")},
+                   {PredicateAtom::equals("Tech", Value::text("none"))})),
                DefinitionError);
 }
 
@@ -556,12 +556,11 @@ TEST(RetractChain, AscendDropsScopeAndFlagsDependents) {
   Cdo& a = root.specialize("A");
   a.add_property(Property::design_issue("Depth", ValueDomain::options({"d1", "d2"}), ""));
   root.specialize("B");
-  layer->add_constraint(ConsistencyConstraint::inconsistent_options(
+  layer->add_constraint(ConsistencyConstraint::inconsistent_when(
       "C1", "quality follows the mode", {PropertyPath::parse("Mode@R")},
-      {PropertyPath::parse("Qual@R")}, [](const Bindings& b) {
-        return get_or_empty(b, "Mode").as_text() == "B" &&
-               get_or_empty(b, "Qual").as_text() == "hi";
-      }));
+      {PropertyPath::parse("Qual@R")},
+      {PredicateAtom::equals("Mode", Value::text("B")),
+       PredicateAtom::equals("Qual", Value::text("hi"))}));
 
   ExplorationSession s(*layer, "R");
   s.decide("Mode", "A");

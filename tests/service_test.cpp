@@ -324,12 +324,10 @@ TEST_F(SessionManagerTest, FailedMigrationSurfacesAndLeavesFreshSession) {
   // A new constraint that vetoes the already-decided option: the journal
   // no longer replays, so migration must fail loudly.
   shared_.write([](dsl::DesignSpaceLayer& layer) {
-    layer.add_constraint(dsl::ConsistencyConstraint::inconsistent_options(
+    layer.add_constraint(dsl::ConsistencyConstraint::inconsistent_when(
         "CCX", "hardware withdrawn by provider", {},
         {dsl::PropertyPath::parse(cat(domains::kImplStyle, "@", kOmm))},
-        [](const dsl::Bindings& bindings) {
-          return dsl::get_or_empty(bindings, domains::kImplStyle).as_text() == "Hardware";
-        }));
+        {dsl::PredicateAtom::equals(domains::kImplStyle, dsl::Value::text("Hardware"))}));
   });
 
   std::ostringstream out;

@@ -295,7 +295,9 @@ TEST(StorageChaos, RepeatedCrashesOnOneDirectoryConverge) {
     }
     int status = 0;
     ASSERT_EQ(waitpid(pid, &status, 0), pid);
-    if (WIFEXITED(status)) ASSERT_EQ(WEXITSTATUS(status), 0);
+    if (WIFEXITED(status)) {
+      ASSERT_EQ(WEXITSTATUS(status), 0);
+    }
   }
   ASSERT_LT(attempts, 200) << "history never completed";
 

@@ -11,6 +11,8 @@
 #include <string>
 #include <vector>
 
+#include "domains/crypto.hpp"
+#include "domains/media.hpp"
 #include "dsl/layer.hpp"
 #include "dsl/serialize.hpp"
 #include "snapshot_layout.hpp"
@@ -176,6 +178,32 @@ TEST(CatalogJournal, RecordEncodingRoundTrips) {
 
   const CatalogRecord index = decode_record(encode_record(CatalogRecord::index_cores()));
   EXPECT_EQ(index.kind, CatalogRecord::Kind::kIndexCores);
+}
+
+TEST(CatalogJournal, DomainPredicateConstraintsRoundTripAndOthersAreRefused) {
+  std::vector<std::unique_ptr<DesignSpaceLayer>> layers;
+  layers.push_back(domains::build_crypto_layer());
+  layers.push_back(domains::build_media_layer());
+  std::size_t predicates = 0;
+  std::size_t formulas = 0;
+  for (const auto& layer : layers) {
+    for (const ConsistencyConstraint& cc : layer->constraints()) {
+      const dsl::RelationKind kind = cc.kind();
+      if (kind == dsl::RelationKind::kInconsistentOptions ||
+          kind == dsl::RelationKind::kDominanceElimination) {
+        const ConsistencyConstraint back = constraint_from_record(
+            decode_record(encode_record(CatalogRecord::add_constraint(cc))));
+        EXPECT_EQ(back.describe(), cc.describe());
+        EXPECT_EQ(back.atoms(), cc.atoms()) << cc.id();
+        ++predicates;
+      } else {
+        EXPECT_THROW(CatalogRecord::add_constraint(cc), PreconditionError) << cc.id();
+        formulas += kind == dsl::RelationKind::kFormula ? 1 : 0;
+      }
+    }
+  }
+  EXPECT_GE(predicates, 5u);
+  EXPECT_GE(formulas, 1u);
 }
 
 TEST(CatalogJournal, ReplayMatchesDirectConstruction) {
