@@ -11,17 +11,14 @@
 //    The headline gate: SIMD >= 2x over the scalar sweep, byte-identical
 //    candidate sets.
 //  * "custom_filter": the full spec including LatencySingleOperation,
-//    whose opaque per-core CoreFilter caps the SIMD sweep at the lambda's
-//    speed. A third phase declares the sound ACCEPT prefilter
-//    `latency_eol768_us <= LatencySingleOperation` (see
-//    synthetic_library.hpp) so the SIMD path prunes compliant rows and
-//    only the residual runs the lambda; the gate is >= 5x over the
-//    undeclared SIMD sweep.
+//    whose opaque per-core CoreFilter runs on every row still alive and
+//    caps the SIMD sweep at the lambda's speed. Same two phases; the
+//    gates are identical candidate sets and matching work counters.
 //
 // Every repeat queries a fresh session replayed from the scenario's
 // journal (built outside the timer), so each pays the cold sweep. Work
-// counters (constraint evaluations, compliance checks, prefilter skips)
-// are reported PER SCAN — totals divided by the phase's
+// counters (constraint evaluations, compliance checks) are reported
+// PER SCAN — totals divided by the phase's
 // repeat count — so the committed baselines in
 // bench/baselines/counters.json stay independent of the repeat choice.
 // The JSON also carries the columnar table's
@@ -56,7 +53,6 @@
 #include "domains/crypto.hpp"
 #include "support/simd.hpp"
 #include "support/strings.hpp"
-#include "support/telemetry.hpp"
 #include "machine_stamp.hpp"
 #include "synthetic_library.hpp"
 
@@ -70,7 +66,7 @@ namespace {
 constexpr std::size_t kDefaultTargetCores = 1'000'000;
 constexpr int kRepeats = 12;
 
-enum class Engine { kColumnarScalar, kColumnarSimd, kColumnarSimdPrefilter };
+enum class Engine { kColumnarScalar, kColumnarSimd };
 
 struct PhaseResult {
   int repeats = 0;
@@ -79,7 +75,6 @@ struct PhaseResult {
   // Deterministic work counters, per scan.
   std::uint64_t constraint_evaluations = 0;
   std::uint64_t compliance_checks = 0;
-  std::uint64_t prefilter_skips = 0;
 };
 
 struct ScenarioResult {
@@ -88,10 +83,7 @@ struct ScenarioResult {
   bool counters_match = false;   ///< per-scan declarative counters agree
   PhaseResult scalar;
   PhaseResult simd;
-  PhaseResult prefiltered;  ///< engaged iff with_prefilter
-  bool with_prefilter = false;
   double speedup_simd_vs_scalar = 0.0;
-  double speedup_prefilter_vs_simd = 0.0;
 };
 
 /// Scripts one scenario's decisions/requirements onto a fresh session.
@@ -110,25 +102,11 @@ void script_custom_filter(dsl::ExplorationSession& s) {
   s.decide(kImplStyle, "Hardware");
 }
 
-/// The sound ACCEPT prefilter for the latency lambda: the synthetic cores
-/// carry the exact EOL-768 single-operation latency as a metric, and the
-/// bench spec always sets EffectiveOperandLength to 768.
-std::vector<dsl::PredicateAtom> latency_prefilter() {
-  dsl::PredicateAtom atom;
-  atom.lhs = bench::kMetricLatencyEol768Us;
-  atom.cmp = dsl::PredicateAtom::Cmp::kLe;
-  atom.rhs_property = kLatencyBound;
-  return {atom};
-}
-
 /// A session replayed from `journal`, its query counters zeroed: its first
 /// candidates() call pays the cold sweep.
 dsl::ExplorationSession cold_session(const dsl::DesignSpaceLayer& layer,
-                                     const std::string& journal, Engine engine) {
+                                     const std::string& journal) {
   dsl::ExplorationSession s = dsl::ExplorationSession::replay(layer, journal);
-  if (engine == Engine::kColumnarSimdPrefilter) {
-    s.declare_prefilter(kLatencyBound, latency_prefilter());  // not journaled
-  }
   s.reset_query_stats();
   return s;
 }
@@ -138,13 +116,13 @@ PhaseResult run_phase(const dsl::DesignSpaceLayer& layer, const std::string& jou
   simd::set_kernel(engine == Engine::kColumnarScalar ? simd::Kernel::kScalar
                                                      : simd::widest_supported());
   // Warm-up: layer-side caches + filter plan (writers prime these).
-  out = cold_session(layer, journal, engine).candidates();
+  out = cold_session(layer, journal).candidates();
   PhaseResult r;
   r.repeats = kRepeats;
-  std::uint64_t constraint_evaluations = 0, compliance_checks = 0, prefilter_skips = 0;
+  std::uint64_t constraint_evaluations = 0, compliance_checks = 0;
   std::size_t checksum = 0;
   for (int i = 0; i < kRepeats; ++i) {
-    const dsl::ExplorationSession s = cold_session(layer, journal, engine);
+    const dsl::ExplorationSession s = cold_session(layer, journal);
     const auto start = std::chrono::steady_clock::now();
     checksum += s.candidates().size();
     r.wall_ms +=
@@ -153,7 +131,6 @@ PhaseResult run_phase(const dsl::DesignSpaceLayer& layer, const std::string& jou
     const dsl::QueryStats stats = s.query_stats();
     constraint_evaluations += stats.constraint_evaluations;
     compliance_checks += stats.compliance_checks;
-    prefilter_skips += s.telemetry().count_of(telemetry::EventKind::kPrefilterSkip);
   }
   simd::reset_kernel_choice();
   if (checksum != out.size() * static_cast<std::size_t>(kRepeats)) {
@@ -170,7 +147,6 @@ PhaseResult run_phase(const dsl::DesignSpaceLayer& layer, const std::string& jou
   };
   r.constraint_evaluations = per_scan(constraint_evaluations, "constraint_evaluations");
   r.compliance_checks = per_scan(compliance_checks, "compliance_checks");
-  r.prefilter_skips = per_scan(prefilter_skips, "prefilter_skips");
   return r;
 }
 
@@ -179,26 +155,17 @@ bool counters_agree(const PhaseResult& a, const PhaseResult& b) {
          a.compliance_checks == b.compliance_checks;
 }
 
-ScenarioResult run_scenario(const dsl::DesignSpaceLayer& layer, Script script,
-                            bool with_prefilter) {
+ScenarioResult run_scenario(const dsl::DesignSpaceLayer& layer, Script script) {
   ScenarioResult r;
-  r.with_prefilter = with_prefilter;
   dsl::ExplorationSession scripted(layer, kPathOMM);
   script(scripted);
   const std::string journal = scripted.export_journal();
-  std::vector<const dsl::Core*> scalar_set, simd_set, prefiltered_set;
+  std::vector<const dsl::Core*> scalar_set, simd_set;
   r.scalar = run_phase(layer, journal, Engine::kColumnarScalar, scalar_set);
   r.simd = run_phase(layer, journal, Engine::kColumnarSimd, simd_set);
   r.candidates = simd_set.size();
   r.identical = scalar_set == simd_set;
   r.counters_match = counters_agree(r.scalar, r.simd);
-  if (with_prefilter) {
-    r.prefiltered = run_phase(layer, journal, Engine::kColumnarSimdPrefilter, prefiltered_set);
-    r.identical = r.identical && scalar_set == prefiltered_set;
-    r.counters_match = r.counters_match && counters_agree(r.scalar, r.prefiltered);
-    r.speedup_prefilter_vs_simd =
-        r.prefiltered.per_scan_ms > 0.0 ? r.simd.per_scan_ms / r.prefiltered.per_scan_ms : 0.0;
-  }
   r.speedup_simd_vs_scalar =
       r.simd.per_scan_ms > 0.0 ? r.scalar.per_scan_ms / r.simd.per_scan_ms : 0.0;
   return r;
@@ -351,23 +318,16 @@ void json_aggregate(std::ostream& out, const char* name, const AggregatePhase& p
 void print_phase(const char* name, const PhaseResult& p) {
   std::cout << "  " << name << ": " << format_double(p.per_scan_ms, 4) << " ms/scan (x"
             << p.repeats << ")  (" << p.constraint_evaluations << " constraint evals, "
-            << p.compliance_checks << " compliance checks";
-  if (p.prefilter_skips > 0) std::cout << ", " << p.prefilter_skips << " prefilter skips";
-  std::cout << ")\n";
+            << p.compliance_checks << " compliance checks)\n";
 }
 
 void print_scenario(const char* name, const ScenarioResult& r) {
   std::cout << name << ":\n";
   print_phase("columnar scalar", r.scalar);
   print_phase("columnar simd  ", r.simd);
-  if (r.with_prefilter) print_phase("simd+prefilter ", r.prefiltered);
   std::cout << "  candidates: " << r.candidates << "; identical: " << (r.identical ? "yes" : "NO")
             << "; counters match: " << (r.counters_match ? "yes" : "NO") << "\n"
-            << "  simd vs scalar: " << format_double(r.speedup_simd_vs_scalar, 3) << "x";
-  if (r.with_prefilter) {
-    std::cout << "; prefilter vs simd: " << format_double(r.speedup_prefilter_vs_simd, 3) << "x";
-  }
-  std::cout << "\n\n";
+            << "  simd vs scalar: " << format_double(r.speedup_simd_vs_scalar, 3) << "x\n\n";
 }
 
 void json_phase(std::ostream& out, const char* name, const PhaseResult& p) {
@@ -376,8 +336,7 @@ void json_phase(std::ostream& out, const char* name, const PhaseResult& p) {
       << "      \"wall_ms\": " << p.wall_ms << ",\n"
       << "      \"per_scan_ms\": " << p.per_scan_ms << ",\n"
       << "      \"constraint_evaluations\": " << p.constraint_evaluations << ",\n"
-      << "      \"compliance_checks\": " << p.compliance_checks << ",\n"
-      << "      \"prefilter_skips\": " << p.prefilter_skips << "\n"
+      << "      \"compliance_checks\": " << p.compliance_checks << "\n"
       << "    }";
 }
 
@@ -389,15 +348,7 @@ void json_scenario(std::ostream& out, const char* name, const ScenarioResult& r)
   json_phase(out, "columnar_scalar", r.scalar);
   out << ",\n";
   json_phase(out, "columnar_simd", r.simd);
-  if (r.with_prefilter) {
-    out << ",\n";
-    json_phase(out, "columnar_simd_prefilter", r.prefiltered);
-  }
-  out << ",\n    \"speedup_simd_vs_scalar\": " << r.speedup_simd_vs_scalar;
-  if (r.with_prefilter) {
-    out << ",\n    \"speedup_prefilter_vs_simd\": " << r.speedup_prefilter_vs_simd;
-  }
-  out << "\n  }";
+  out << ",\n    \"speedup_simd_vs_scalar\": " << r.speedup_simd_vs_scalar << "\n  }";
 }
 
 }  // namespace
@@ -430,11 +381,9 @@ int main(int argc, char** argv) {
   std::cout << "kernel (widest supported): " << simd::to_string(simd::widest_supported())
             << "; cold candidates() on a fresh replayed session per repeat\n\n";
 
-  const ScenarioResult declarative =
-      run_scenario(*layer, script_declarative, /*with_prefilter=*/false);
+  const ScenarioResult declarative = run_scenario(*layer, script_declarative);
   print_scenario("declarative (Fig. 8 spec minus latency bound)", declarative);
-  const ScenarioResult custom =
-      run_scenario(*layer, script_custom_filter, /*with_prefilter=*/true);
+  const ScenarioResult custom = run_scenario(*layer, script_custom_filter);
   print_scenario("custom_filter (full spec, opaque latency filter)", custom);
 
   // Memory footprint of the columnar snapshot the phases swept (the plan
@@ -459,12 +408,9 @@ int main(int argc, char** argv) {
 
   const bool ok = declarative.identical && declarative.counters_match && custom.identical &&
                   custom.counters_match && aggregates.identical &&
-                  declarative.speedup_simd_vs_scalar >= 2.0 &&
-                  custom.speedup_prefilter_vs_simd >= 5.0;
+                  declarative.speedup_simd_vs_scalar >= 2.0;
   std::cout << "gates: simd declarative >= 2x scalar: "
-            << (declarative.speedup_simd_vs_scalar >= 2.0 ? "PASS" : "FAIL")
-            << "; prefiltered lambda >= 5x undeclared simd: "
-            << (custom.speedup_prefilter_vs_simd >= 5.0 ? "PASS" : "FAIL") << "\n";
+            << (declarative.speedup_simd_vs_scalar >= 2.0 ? "PASS" : "FAIL") << "\n";
 
   if (!json_path.empty()) {
     std::ofstream out(json_path);

@@ -15,6 +15,7 @@
 #include "support/strings.hpp"
 #include "support/table.hpp"
 #include "support/telemetry.hpp"
+#include "machine_stamp.hpp"
 
 using namespace dslayer;
 using namespace dslayer::rtl;
@@ -97,6 +98,7 @@ int main(int argc, char** argv) {
     out << "{\n"
         << "  \"bench\": \"fig12_montgomery_tradeoffs\",\n"
         << "  \"eol\": " << kEol << ",\n  \"slice_width\": " << kWidth << ",\n"
+        << bench::machine_json() << ",\n"
         << "  \"designs\": [\n";
     for (std::size_t i = 0; i < points.size(); ++i) {
       const analysis::EvalPoint& p = points[i];

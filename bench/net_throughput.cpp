@@ -61,6 +61,7 @@
 #include "service/shared_layer.hpp"
 #include "support/strings.hpp"
 #include "support/trace.hpp"
+#include "machine_stamp.hpp"
 
 using namespace dslayer;
 
@@ -452,7 +453,7 @@ int main(int argc, char** argv) {
         << "  \"pipeline_depth\": " << pipeline << ",\n"
         << "  \"client_threads\": " << client_threads << ",\n"
         << "  \"workers\": " << workers << ",\n"
-        << "  \"hardware_concurrency\": " << std::thread::hardware_concurrency() << ",\n"
+        << bench::machine_json() << ",\n"
         << "  \"requests\": " << expected << ",\n";
     phase_json("baseline", baseline);
     phase_json("traced", traced);

@@ -12,7 +12,7 @@
 // queries consult remote IP-provider catalogs. Workers overlap those
 // round trips, which is the concurrency the service exists to exploit —
 // and it keeps the scaling measurement meaningful on small CI machines
-// (hardware_concurrency is recorded in the JSON for honesty; on a 1-core
+// (the JSON's machine stamp records the hardware threads; on a 1-core
 // host the pure-compute portion cannot scale, the blocking portion can).
 //
 // Pass/fail: requests/sec must scale >= 2x from 1 to 4 workers and the
@@ -40,6 +40,7 @@
 #include "service/session_manager.hpp"
 #include "service/shared_layer.hpp"
 #include "support/strings.hpp"
+#include "machine_stamp.hpp"
 #include "synthetic_library.hpp"
 
 using namespace dslayer;
@@ -322,7 +323,7 @@ int main(int argc, char** argv) {
     out << "{\n"
         << "  \"bench\": \"service_throughput\",\n"
         << "  \"synthetic_cores\": " << synthetic << ",\n"
-        << "  \"hardware_concurrency\": " << std::thread::hardware_concurrency() << ",\n"
+        << bench::machine_json() << ",\n"
         << "  \"injected_latency_us\": " << injected_latency_us << ",\n"
         << "  \"queue_capacity\": " << queue_capacity << ",\n"
         << "  \"sessions\": " << sessions << ",\n"

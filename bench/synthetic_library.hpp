@@ -26,9 +26,9 @@ namespace dslayer::bench {
 
 /// Exact single-operation latency at EOL = 768 bits in us, unjittered —
 /// byte-identical to what domains::latency_filter recomputes from the
-/// slice bindings when the session's EffectiveOperandLength is 768. A
-/// `latency_eol768_us <= LatencySingleOperation` PredicateAtom is
-/// therefore a sound ACCEPT prefilter for that filter on these cores.
+/// slice bindings when the session's EffectiveOperandLength is 768. On
+/// these cores, `latency_eol768_us <= LatencySingleOperation` therefore
+/// holds exactly where that filter accepts at EOL 768.
 inline constexpr const char* kMetricLatencyEol768Us = "latency_eol768_us";
 
 namespace detail {
@@ -100,7 +100,8 @@ inline std::size_t populate_synthetic_library(dsl::ReuseLibrary& lib, std::size_
                                                   : "2's complement"))
         .bind(kOperandCoding, dsl::Value::text("2's complement"));
     // The slice metrics carry the per-copy jitter; latency_eol768_us must
-    // stay exact (the prefilter contract above), so it is never jittered.
+    // stay exact (it mirrors the latency filter, see above), so it is
+    // never jittered.
     core.set_metric(kMetricArea, combo.area * jitter)
         .set_metric(kMetricClockNs, combo.clock_ns * jitter)
         .set_metric(kMetricLatencyNs, combo.latency_ns * jitter)

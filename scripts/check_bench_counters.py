@@ -3,7 +3,7 @@
 
 Wall-clock numbers flap with the machine; the work counters do not. The
 benches emit deterministic counters (constraint evaluations, compliance
-checks, prefilter skips, ...) in their --json output — fixed repeat counts
+checks, survivors, ...) in their --json output — fixed repeat counts
 over a fixed synthetic library make them exactly reproducible. This script
 compares those counters, and the oracle flags riding along, against the
 committed baselines in bench/baselines/counters.json:
@@ -11,13 +11,13 @@ committed baselines in bench/baselines/counters.json:
     { "BENCH_candidate_filter.json": { "declarative.columnar_simd.constraint_evaluations": 3625175, ... }, ... }
 
 Dotted keys index into the bench JSON. Any drift — more work per query, a
-lost early-exit, a prefilter that stops skipping rows, an engine
+lost early-exit, a survivor count that drifts, an engine
 disagreement — fails CI even when the wall times still look fine.
 
 An expectation may also be a bound object instead of an exact value:
 
     "bytes_per_core": {"max": 200.0}        # actual <= 200.0
-    "prefilter_skips": {"min": 1}           # actual >= 1
+    "traced_sampled": {"min": 1}            # actual >= 1
 
 Bounds are for values that are deterministic in shape but not bit-exact
 across platforms (the columnar table's memory footprint depends on the

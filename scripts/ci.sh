@@ -93,16 +93,31 @@ cmake --build build-tsan -j --target service_stress_test service_chaos_test net_
 ./build-tsan/tests/storage_lazy_boot_test
 
 echo "=== [7/7] benchmark telemetry (BENCH_*.json) + counter guard ==="
-./build/bench/candidate_filter --json BENCH_candidate_filter.json
-./build/bench/fig12_montgomery_tradeoffs --json BENCH_fig12_montgomery_tradeoffs.json
-./build/bench/service_throughput --json BENCH_service_throughput.json
-./build/bench/net_throughput --json BENCH_net_throughput.json \
+# Each bench's exit status is recorded rather than ending the script, so a
+# bench that fails (candidate_filter's wall-time gate can trip on a loaded
+# host) still leaves both checkers' verdicts in the log. Any failure below
+# still fails CI, and every failing bench is named.
+failed=()
+run_bench() {
+  local name=$1
+  shift
+  "./build/bench/$name" "$@" || failed+=("bench $name")
+}
+run_bench candidate_filter --json BENCH_candidate_filter.json
+run_bench fig12_montgomery_tradeoffs --json BENCH_fig12_montgomery_tradeoffs.json
+run_bench service_throughput --json BENCH_service_throughput.json
+run_bench net_throughput --json BENCH_net_throughput.json \
   --dump-metrics BENCH_metrics_scrape.txt
-./build/bench/storage_coldstart --json BENCH_storage_coldstart.json
+run_bench storage_coldstart --json BENCH_storage_coldstart.json
 # The net bench also scrapes the loaded server's `!metrics` payload;
 # validate it against the Prometheus text-format rules.
-python3 scripts/check_metrics_format.py BENCH_metrics_scrape.txt
+python3 scripts/check_metrics_format.py BENCH_metrics_scrape.txt ||
+  failed+=("check_metrics_format.py")
 # Wall-time-free regression gate: the deterministic work counters in the
 # bench JSON must match the committed baselines exactly.
-python3 scripts/check_bench_counters.py
+python3 scripts/check_bench_counters.py || failed+=("check_bench_counters.py")
+if ((${#failed[@]} > 0)); then
+  printf 'CI FAILED in stage 7: %s\n' "${failed[@]}" >&2
+  exit 1
+fi
 echo "CI OK"

@@ -483,100 +483,6 @@ void classify_op(ResolvedOp& op) {
   op.mode = OpMode::kScalar;
 }
 
-/// One prefilter atom lowered against the table and session bindings.
-/// Terms resolve binding column -> metric column -> session binding ->
-/// atom constant (metric columns are a prefilter-only power: predicate
-/// atoms never see metrics, but a declared prefilter may bound one).
-struct PrefilterAtom {
-  simd::Cmp cmp = simd::Cmp::kEq;
-  bool is_sym = false;
-  bool has_factor = false;
-  simd::Lane lhs;
-  simd::Lane factor;
-  simd::Lane rhs;
-  const std::uint32_t* sym_lhs = nullptr;
-  const std::uint32_t* sym_rhs = nullptr;
-  std::uint32_t sym_const = support::kNoSymbol;
-  bool sym_negate = false;
-  const std::uint64_t* present[3] = {nullptr, nullptr, nullptr};
-  int present_count = 0;
-};
-
-/// Lowers `atom`; returns false if any term fails to resolve to a
-/// vectorizable source, which disables the whole prefilter (the lambda
-/// then runs on every row — slower, never wrong).
-bool resolve_prefilter_atom(const CoreTable& table, const Bindings& bound,
-                            const PredicateAtom& atom, PrefilterAtom& out) {
-  const auto num_source = [&](const std::string& name, simd::Lane& lane) {
-    if (const auto sym = support::lookup_symbol(name); sym.has_value()) {
-      if (const Column* column = table.binding_column(*sym);
-          column != nullptr && column->kind == ColumnKind::kNumber) {
-        lane.col = column->numbers.data();
-        out.present[out.present_count++] = column->present.data();
-        return true;
-      }
-      if (const Column* column = table.metric_column(*sym); column != nullptr) {
-        lane.col = column->numbers.data();
-        out.present[out.present_count++] = column->present.data();
-        return true;
-      }
-    }
-    const auto it = bound.find(name);
-    if (it != bound.end() && it->second.kind() == Value::Kind::kNumber) {
-      lane.broadcast = it->second.as_number();
-      return true;
-    }
-    return false;
-  };
-  const auto sym_col_source = [&](const std::string& name, const std::uint32_t*& col) {
-    const auto sym = support::lookup_symbol(name);
-    if (!sym.has_value()) return false;
-    const Column* column = table.binding_column(*sym);
-    if (column == nullptr || column->kind != ColumnKind::kText) return false;
-    col = column->texts.data();
-    out.present[out.present_count++] = column->present.data();
-    return true;
-  };
-
-  out.cmp = to_simd(atom.cmp);
-  // Text shape: lhs must be a text column; rhs a text constant, session
-  // text binding, or another text column. ==/!= only.
-  const bool rhs_text = atom.rhs_property.empty()
-                            ? atom.rhs_const.kind() == Value::Kind::kText
-                            : false;  // rhs property kind decided by its column below
-  if (atom.lhs_factor.empty() && rhs_text) {
-    if (atom.cmp != PredicateAtom::Cmp::kEq && atom.cmp != PredicateAtom::Cmp::kNe) return false;
-    if (!sym_col_source(atom.lhs, out.sym_lhs)) return false;
-    out.is_sym = true;
-    out.sym_const = support::intern_symbol(atom.rhs_const.as_text());
-    out.sym_negate = atom.cmp == PredicateAtom::Cmp::kNe;
-    return true;
-  }
-
-  // Numeric shape: (lhs [* factor]) cmp rhs.
-  if (!num_source(atom.lhs, out.lhs)) {
-    // Retry as column-vs-column text equality before giving up.
-    if (atom.lhs_factor.empty() && !atom.rhs_property.empty() &&
-        (atom.cmp == PredicateAtom::Cmp::kEq || atom.cmp == PredicateAtom::Cmp::kNe)) {
-      out.present_count = 0;
-      if (sym_col_source(atom.lhs, out.sym_lhs) && sym_col_source(atom.rhs_property, out.sym_rhs)) {
-        out.is_sym = true;
-        out.sym_negate = atom.cmp == PredicateAtom::Cmp::kNe;
-        return true;
-      }
-    }
-    return false;
-  }
-  if (!atom.lhs_factor.empty()) {
-    if (!num_source(atom.lhs_factor, out.factor)) return false;
-    out.has_factor = true;
-  }
-  if (!atom.rhs_property.empty()) return num_source(atom.rhs_property, out.rhs);
-  if (atom.rhs_const.kind() != Value::Kind::kNumber) return false;
-  out.rhs.broadcast = atom.rhs_const.as_number();
-  return true;
-}
-
 /// Runs `fn(word)` over every mask word in order — the one place a sweep
 /// yields to its deadline: a cancellation checkpoint precedes every
 /// kWordsPerCheckpoint words.
@@ -629,7 +535,7 @@ SurvivorMask run_core_filter(const CoreFilterPlan& plan, const FilterQuery& quer
   const simd::KernelOps& kops = simd::kernels();
   const std::size_t words = table.words();
 
-  // Per-sweep scratch (resolved terms, prefilter programs) lives in this
+  // Per-sweep scratch (resolved terms and ops) lives in this
   // thread's bump arena and is released, not freed, when the sweep
   // returns. The survivor mask is the result, so it is heap-owned.
   support::Arena& arena = support::Arena::scratch();
@@ -715,58 +621,12 @@ SurvivorMask run_core_filter(const CoreFilterPlan& plan, const FilterQuery& quer
     });
   }
 
-  // Step 2c: custom filters, row-wise. A declared pass_when prefilter
-  // proves rows compliant a word at a time first; only the residual runs
-  // the lambda.
-  for (const FilterQuery::Custom& custom : query.custom) {
-    PrefilterAtom* atoms = nullptr;
-    std::size_t atom_count = 0;
-    if (custom.pass_when != nullptr && !custom.pass_when->empty()) {
-      atoms = arena.alloc_array<PrefilterAtom>(custom.pass_when->size());
-      for (const PredicateAtom& atom : *custom.pass_when) {
-        PrefilterAtom* lowered = ::new (static_cast<void*>(atoms + atom_count)) PrefilterAtom();
-        if (!resolve_prefilter_atom(table, *query.bound, atom, *lowered)) {
-          atom_count = 0;  // unresolvable term: prefilter off, lambda runs everywhere
-          break;
-        }
-        ++atom_count;
-      }
-    }
-    std::uint64_t skipped = 0;
-    for_each_word(words, [&](std::size_t w) {
-      const std::uint64_t alive = mask[w];
-      if (alive == 0) return;
-      std::uint64_t pass = 0;
-      if (atom_count != 0) {
-        pass = alive;
-        for (std::size_t a = 0; a < atom_count && pass != 0; ++a) {
-          const PrefilterAtom& atom = atoms[a];
-          std::uint64_t present = ~std::uint64_t{0};
-          for (int p = 0; p < atom.present_count; ++p) present &= atom.present[p][w];
-          const std::uint64_t holds =
-              atom.is_sym
-                  ? kops.eq_sym(atom.sym_lhs + (w << 6),
-                                atom.sym_rhs != nullptr ? atom.sym_rhs + (w << 6) : nullptr,
-                                atom.sym_const, atom.sym_negate)
-                  : kops.cmp_num(lane_at(atom.lhs, w), lane_at(atom.factor, w),
-                                 atom.has_factor, atom.cmp, lane_at(atom.rhs, w));
-          pass &= present & holds;
-        }
-        skipped += static_cast<std::uint64_t>(std::popcount(pass));
-      }
-      std::uint64_t bits = alive & ~pass;
-      std::uint64_t cleared = 0;
-      while (bits != 0) {
-        const int bit = std::countr_zero(bits);
-        const std::size_t row = (w << 6) + static_cast<std::size_t>(bit);
-        if (!(*custom.filter)(*table.cores()[row], *query.bound)) {
-          cleared |= (std::uint64_t{1} << bit);
-        }
-        bits &= bits - 1;
-      }
-      mask[w] &= ~cleared;
+  // Step 2c: custom filters, row-wise: each lambda runs on every row
+  // that is still alive.
+  for (const CoreFilter* filter : query.custom) {
+    sweep_rows(mask, words, [&](std::size_t row) {
+      return (*filter)(*table.cores()[row], *query.bound);
     });
-    if (skipped != 0) telemetry.count(EventKind::kPrefilterSkip, skipped);
   }
 
   // Step 3: predicate constraints in index order. Evaluating each over

@@ -30,17 +30,15 @@
 //    kernel one 64-row word at a time; rows a word kernel cannot decide
 //    (absent column value falling back to a session binding, mixed-kind
 //    cells) are patched through the scalar interpreter, so survivors are
-//    bit-identical to a scalar sweep. Per-sweep scratch (resolved terms,
-//    prefilter programs) comes from the calling thread's bump arena
+//    bit-identical to a scalar sweep. Per-sweep scratch (resolved terms
+//    and ops) comes from the calling thread's bump arena
 //    (support/arena.hpp); the returned mask is owned by the caller.
 //    A sweep runs start to finish on the thread that called it, and
 //    every word loop is a cancellation point: it calls
 //    support::cancellation_checkpoint() every 16 mask words (1024 rows),
 //    so a request deadline interrupts a large sweep mid-way.
-//    Custom (opaque lambda) filters may carry a PredicateAtom
-//    conjunction prefilter: rows the atoms prove compliant skip the
-//    lambda entirely (counted as kPrefilterSkip); only the residual
-//    runs interpreted.
+//    Custom (opaque lambda) filters run interpreted on every row still
+//    alive when they are reached.
 //
 // The engine matches that plain per-core scan exactly — same survivors,
 // same ConstraintEvaluated / ComplianceCheck counter totals — which the
@@ -292,24 +290,12 @@ struct FilterQuery {
     bool at_most = false;  ///< kCoreAtMost; else kCoreAtLeast
     double bound = 0.0;
   };
-  /// One registered custom filter, optionally with a declared ACCEPT
-  /// prefilter: a PredicateAtom conjunction such that any row where
-  /// every referenced property resolves (binding column, metric column,
-  /// or session binding) and every atom holds is guaranteed compliant.
-  /// Such rows skip the lambda (kPrefilterSkip); all other rows —
-  /// including every row when pass_when is null or unresolvable — run
-  /// the lambda exactly as before, so a conservative (or wrong-shaped)
-  /// prefilter can only cost speed, never candidates.
-  struct Custom {
-    const CoreFilter* filter = nullptr;
-    const std::vector<PredicateAtom>* pass_when = nullptr;
-  };
 
   const Bindings* bound = nullptr;       ///< session bindings snapshot
   std::vector<Equality> decided;         ///< step 1: core-filtering decisions
   std::vector<Equality> require_equal;   ///< step 2: kCoreEquals requirements
   std::vector<MetricBound> require_metric;  ///< step 2: kCoreAtMost/AtLeast
-  std::vector<Custom> custom;               ///< step 2: registered filters
+  std::vector<const CoreFilter*> custom;    ///< step 2: registered filters
 };
 
 /// The sweep's answer: one bit per row of the plan's table (64 rows per

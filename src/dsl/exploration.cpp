@@ -420,16 +420,6 @@ std::vector<std::pair<std::string, std::string>> ExplorationSession::reassessmen
   return out;
 }
 
-void ExplorationSession::declare_prefilter(const std::string& name,
-                                           std::vector<PredicateAtom> pass_when) {
-  if (pass_when.empty()) {
-    prefilters_.erase(name);
-  } else {
-    prefilters_[name] = std::move(pass_when);
-  }
-  touch();  // engine path changed; memoized candidates must recompute
-}
-
 const SurvivorMask& ExplorationSession::survivors() const {
   if (sweep_.generation == generation_ && sweep_.plan_generation == layer_->plan_generation()) {
     telemetry_.count(EventKind::kCacheHit);
@@ -466,12 +456,7 @@ SurvivorMask ExplorationSession::compute_survivors() const {
       query.decided.push_back(std::move(eq));
     } else if (entry.is_requirement) {
       if (const auto* filter = layer_->core_filter(name)) {
-        FilterQuery::Custom custom;
-        custom.filter = filter;
-        if (const auto pf = prefilters_.find(name); pf != prefilters_.end() && !pf->second.empty()) {
-          custom.pass_when = &pf->second;
-        }
-        query.custom.push_back(custom);
+        query.custom.push_back(filter);
         continue;
       }
       const Property* p = current_->find_property(name);

@@ -236,23 +236,7 @@ class ExplorationSession {
   /// would have raised.
   static ExplorationSession replay(const DesignSpaceLayer& layer, const std::string& jsonl);
 
-  // -- observability & prefilters ---------------------------------------------------
-
-  /// Declares a PredicateAtom conjunction ACCEPT-prefilter for the
-  /// custom core filter registered under requirement `name` (DESIGN.md
-  /// §14): any candidate row where every property the atoms reference
-  /// resolves (binding column, metric column, or session binding) and
-  /// every atom holds is treated as compliant WITHOUT running the
-  /// lambda — the columnar engine proves those rows word-parallel
-  /// through the SIMD kernels and only the residual runs interpreted.
-  /// The declaration is a performance promise by the caller ("rows
-  /// satisfying these atoms always pass my filter"); rows the atoms do
-  /// not prove still go through the lambda, so an overly conservative
-  /// prefilter only costs speed. The reference scan in tests/ ignores
-  /// prefilters entirely, which is what lets the oracle suite cross-check
-  /// the declaration against the full lambda. Passing an empty vector
-  /// clears the declaration. Invalidates memoized candidates.
-  void declare_prefilter(const std::string& name, std::vector<PredicateAtom> pass_when);
+  // -- observability ---------------------------------------------------------------
 
   /// Counters for this session's queries: constraint evaluations, core
   /// compliance checks, cache hits/misses. A view over the telemetry
@@ -290,7 +274,6 @@ class ExplorationSession {
   const Cdo* root_;
   const Cdo* current_;
   std::map<std::string, Entry> entries_;
-  std::map<std::string, std::vector<PredicateAtom>> prefilters_;
   std::vector<std::string> trace_;
 
   // Memoized query layer: results tagged with the generation they were

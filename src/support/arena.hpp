@@ -1,11 +1,11 @@
 // Per-thread bump arena for per-sweep scratch (DESIGN.md §14).
 //
 // Every columnar filter sweep needs short-lived arrays whose sizes depend
-// on the query: the survivor bitmask, resolved predicate terms and ops,
-// vector-lane descriptors, and prefilter residual masks. Allocating them
-// from the general heap put malloc/free on the hot path once per sweep —
-// at service rates that is thousands of allocator round-trips per second
-// for memory with a strictly stack-like lifetime.
+// on the query: resolved predicate terms and ops and their vector-lane
+// descriptors. Allocating them from the general heap put malloc/free on
+// the hot path once per sweep — at service rates that is thousands of
+// allocator round-trips per second for memory with a strictly stack-like
+// lifetime.
 //
 // Arena is a monotonic bump allocator over a chain of geometrically
 // growing blocks. allocate() is a pointer bump; nothing is freed until

@@ -19,7 +19,7 @@ constexpr std::array<const char*, kEventKindCount> kKindNames = {
     "Retract",             "Reaffirm",            "OptionEliminated",
     "ReassessmentFlagged", "ConstraintEvaluated", "ComplianceCheck",
     "CacheHit",            "CacheMiss",           "IndexRebuild",
-    "QueryTimed",          "PrefilterSkip",
+    "QueryTimed",
 };
 
 }  // namespace

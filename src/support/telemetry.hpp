@@ -59,10 +59,9 @@ enum class EventKind : std::uint8_t {
   kCacheMiss,            ///< counted only — a memoized query recomputed
   kIndexRebuild,         ///< counted only — the subtree core index was (re)built
   kQueryTimed,           ///< counted only — one per record_timing() sample
-  kPrefilterSkip,        ///< counted only (hot path) — rows a declared prefilter spared the lambda
 };
 
-inline constexpr std::size_t kEventKindCount = 14;
+inline constexpr std::size_t kEventKindCount = 13;
 
 /// Stable wire name ("Decision", "CacheHit", ...).
 const char* to_string(EventKind kind);

@@ -1,8 +1,8 @@
 // Oracle for the candidates() engine (DESIGN.md Section 10): every query
 // below runs on a session (the columnar CoreFilterPlan sweep) and is
 // recomputed by a reference scan written in this file from the session's
-// public state — a plain per-core loop over merged bindings, no telemetry
-// and no prefilters. The two must agree on
+// public state — a plain per-core loop over merged bindings, no
+// telemetry. The two must agree on
 //   * the candidate set, element for element (same Core pointers, same order);
 //   * metric_range() and option_ranges() built on top of it, bit for bit
 //     (NaN included: the columnar folds read the survivor mask and the
@@ -82,8 +82,7 @@ bool fixed_by_class_path(const Cdo& root, const Property& p) {
 /// else its declarative compliance rule; then, with the core's bindings
 /// written over a copy of the session's, no predicate constraint may be
 /// violated. Values are visited in name order, as the session stores them,
-/// so the first error comes from the same property. Prefilters are ignored:
-/// they may spare work, never change the answer.
+/// so the first error comes from the same property.
 Reference reference_scan(const ExplorationSession& s, const Cdo& root) {
   const DesignSpaceLayer& layer = s.layer();
   const Cdo& scope = s.current();
@@ -919,93 +918,6 @@ TEST_P(ForcedKernelOracle, WhatIfAggregatesAgree) {
 
 INSTANTIATE_TEST_SUITE_P(Kernels, ForcedKernelOracle,
                          ::testing::Combine(::testing::Values(0, 1), ::testing::Range(1u, 4u)));
-
-// ---------------------------------------------------------------------------
-// Prefilter oracle: a declared pass_when conjunction must change nothing but
-// the amount of lambda work.
-// ---------------------------------------------------------------------------
-
-TEST(ColumnarOracle, PrefilterMatchesFullLambdaAndSkipsRows) {
-  auto layer = oracle_layer(5, 500);
-  // The Cert filter keeps cores with score >= 50 (gold) / >= 10 (silver):
-  // "score >= 50" is a sound ACCEPT prefilter for either floor. It resolves
-  // through the metric column — a prefilter-only power.
-  Oracle oracle(*layer, "Node");
-  oracle.session.declare_prefilter("Cert", {PredicateAtom::compares("score", Cmp::kGe, 50.0)});
-  ExplorationSession plain(*layer, "Node");  // no declaration
-
-  const auto drive = [](ExplorationSession& s) {
-    s.set_requirement("Cert", "gold");
-    s.set_requirement("MaxCost", 70.0);
-  };
-  oracle.apply([&](ExplorationSession& s) { drive(s); });
-  drive(plain);
-
-  oracle.expect_candidates_agree();  // prefiltered sweep == reference scan
-  EXPECT_EQ(oracle.session.candidates(), plain.candidates());
-  EXPECT_GT(oracle.cold_sweeps, 0u);  // the prefilter left the work counters untouched
-
-  // The declaration must actually spare lambda rows in the session,
-  // and be invisible to undeclared sessions.
-  EXPECT_GT(oracle.session.telemetry().count_of(telemetry::EventKind::kPrefilterSkip), 0u);
-  EXPECT_EQ(plain.telemetry().count_of(telemetry::EventKind::kPrefilterSkip), 0u);
-}
-
-TEST(ColumnarOracle, UnresolvablePrefilterFallsBackToTheLambda) {
-  auto layer = oracle_layer(6, 300);
-  Oracle oracle(*layer, "Node");
-  // References a property no column, metric, or binding answers: the
-  // prefilter must disable itself and the lambda must run everywhere.
-  oracle.session.declare_prefilter(
-      "Cert", {PredicateAtom::compares("NoSuchProperty", Cmp::kGe, 1.0)});
-  oracle.apply([](ExplorationSession& s) {
-    s.set_requirement("Cert", "silver");
-    s.set_requirement("MinScore", 20.0);
-  });
-  oracle.expect_candidates_agree();
-  EXPECT_GT(oracle.cold_sweeps, 0u);
-  EXPECT_EQ(oracle.session.telemetry().count_of(telemetry::EventKind::kPrefilterSkip), 0u);
-
-  // Clearing the declaration restores the undeclared path.
-  oracle.session.declare_prefilter("Cert", {});
-  oracle.apply([](ExplorationSession& s) { s.set_requirement("MaxCost", 90.0); });
-  oracle.expect_candidates_agree();
-}
-
-TEST(ColumnarOracle, PrefilterFuzzWalkAgrees) {
-  for (unsigned seed = 1; seed <= 4; ++seed) {
-    auto layer = oracle_layer(seed * 2711 + 9, 400);
-    Oracle oracle(*layer, "Node");
-    oracle.session.declare_prefilter("Cert",
-                                     {PredicateAtom::compares("score", Cmp::kGe, 50.0)});
-    Rng rng(seed * 17 + 5);
-    oracle.apply([](ExplorationSession& s) { s.set_requirement("Cert", "gold"); });
-    for (int step = 0; step < 20; ++step) {
-      switch (rng.next_below(3)) {
-        case 0: {
-          const char* name = rng.next_bool() ? "MinScore" : "MaxCost";
-          const double value = static_cast<double>(rng.next_below(101));
-          oracle.apply([&](ExplorationSession& s) { s.set_requirement(name, value); });
-          break;
-        }
-        case 1: {
-          const char* certs[] = {"gold", "silver"};
-          const char* cert = certs[rng.next_below(2)];
-          oracle.apply([&](ExplorationSession& s) { s.set_requirement("Cert", cert); });
-          break;
-        }
-        default: {
-          const double widths[] = {8, 16, 32, 64};
-          const double width = widths[rng.next_below(4)];
-          oracle.apply([&](ExplorationSession& s) { s.decide("Width", Value::number(width)); });
-          break;
-        }
-      }
-      oracle.expect_candidates_agree();
-    }
-    EXPECT_GT(oracle.cold_sweeps, 0u);
-  }
-}
 
 // ---------------------------------------------------------------------------
 // The NaN fold rule, spelled out on a hand-built layer.
